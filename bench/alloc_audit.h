@@ -35,20 +35,30 @@ inline void SetCounting(bool on) {
 inline void ResetCount() { g_allocs.store(0, std::memory_order_relaxed); }
 inline uint64_t Count() { return g_allocs.load(std::memory_order_relaxed); }
 
-inline void* CountedAlloc(std::size_t size) {
+/// Counted malloc / aligned_alloc; nullptr on failure (the nothrow forms).
+inline void* CountedMalloc(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   }
-  void* p = std::malloc(size);
+  return std::malloc(size);
+}
+
+inline void* CountedAlignedAlloc(std::size_t size,
+                                 std::align_val_t align) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::aligned_alloc(static_cast<std::size_t>(align), size);
+}
+
+inline void* CountedAlloc(std::size_t size) {
+  void* p = CountedMalloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 inline void* CountedAllocAligned(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align), size);
+  void* p = CountedAlignedAlloc(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -67,6 +77,23 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return aspen::allocaudit::CountedAllocAligned(size, align);
+}
+// The nothrow forms (std::get_temporary_buffer, used by stable_sort, asks
+// for these). Left unreplaced they would bypass the count, and a sanitizer
+// that supplies its own would pair them with the free() below as a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return aspen::allocaudit::CountedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return aspen::allocaudit::CountedMalloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return aspen::allocaudit::CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return aspen::allocaudit::CountedAlignedAlloc(size, align);
 }
 
 // The replaced operator new above allocates with malloc/aligned_alloc, so
@@ -87,6 +114,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 #if defined(__GNUC__) && !defined(__clang__)

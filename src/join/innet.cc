@@ -69,13 +69,15 @@ constexpr int kMcastUpdateBytesPerEdge = 4;
 Status JoinExecutor::InitInnet() {
   routing::MultiTreeOptions mt_opts;
   mt_opts.num_trees = opts_.num_trees;
-  // Substrate construction (trees, beacon floods, summary aggregation over
-  // the Table 1 static attributes) happens once at deployment and is shared
-  // by every query, exactly like the initial routing tree that Naive/Base
-  // get for free (Appendix C). It is therefore not charged to this query;
-  // MultiTree::construction_bytes() still reports it for diagnostics.
-  // Query-specific initiation — exploration, replies, nominations — is
-  // charged below (Table 3's ">= sum Dst").
+  // The substrate — trees, beacon floods, and the summary index of this
+  // query's primary join key (node positions for a region join) — models
+  // deployment-time state, like the initial routing tree that Naive/Base
+  // get for free (Appendix C), so none of its traffic is charged to this
+  // query (null stats below). Each executor still builds its own copy,
+  // since the indexed key is derived from its predicate, and its set-up
+  // time counts toward initiation. Query-specific initiation —
+  // exploration, replies, nominations — is charged below (Table 3's
+  // ">= sum Dst").
   multi_ = std::make_unique<routing::MultiTree>(&workload_->topology(),
                                                 mt_opts, nullptr);
   const auto& primary = workload_->analysis().primary;

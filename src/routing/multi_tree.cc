@@ -174,6 +174,22 @@ Result<int> MultiTree::IndexAttribute(const IndexedAttribute& attr,
   index.decl = attr;
   index.values.resize(n);
   for (NodeId u = 0; u < n; ++u) index.values[u] = attr.value_fn(u);
+  if (attr.summary_type == SummaryType::kExact) {
+    // No per-node sets: each node still ships (and is charged for) its
+    // subtree's exact summary, whose size only needs the distinct count.
+    std::vector<int32_t> distinct;
+    for (const auto& tree : trees_) {
+      index.exact.push_back(BuildExactTreeIndex(*tree, index.values,
+                                                &index.sorted_values,
+                                                &distinct));
+      for (NodeId u = 0; u < n; ++u) {
+        if (tree->ParentOf(u) == -1) continue;
+        ChargeSummaryShip(u, distinct[u] * ExactSummary::kValueBytes, stats);
+      }
+    }
+    scalar_indexes_.push_back(std::move(index));
+    return static_cast<int>(scalar_indexes_.size()) - 1;
+  }
   index.per_tree.resize(trees_.size());
   for (size_t t = 0; t < trees_.size(); ++t) {
     const RoutingTree& tree = *trees_[t];
@@ -201,17 +217,119 @@ Result<int> MultiTree::IndexAttribute(const IndexedAttribute& attr,
       // Each non-root node ships its merged subtree summary to its parent
       // during construction.
       if (tree.ParentOf(u) != -1) {
-        int bytes =
-            subtree[u]->SizeBytes() + net::WireFormat::kLinkHeaderBytes;
-        if (stats != nullptr) {
-          stats->RecordSend(u, net::MessageKind::kBeacon, bytes);
-        }
-        construction_bytes_ += bytes;
+        ChargeSummaryShip(u, subtree[u]->SizeBytes(), stats);
       }
     }
   }
   scalar_indexes_.push_back(std::move(index));
   return static_cast<int>(scalar_indexes_.size()) - 1;
+}
+
+MultiTree::ExactTreeIndex MultiTree::BuildExactTreeIndex(
+    const RoutingTree& tree, const std::vector<int32_t>& values,
+    std::vector<int32_t>* sorted_values, std::vector<int32_t>* distinct) {
+  const int n = static_cast<int>(values.size());
+  ExactTreeIndex index;
+  index.tin.resize(n);
+  index.tout.resize(n);
+  // Pre-order tour, children in ChildrenOf order; `order` maps tour
+  // positions back to nodes.
+  std::vector<NodeId> order;
+  order.reserve(n);
+  std::vector<NodeId> stack{tree.root()};
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    index.tin[u] = static_cast<int32_t>(order.size());
+    order.push_back(u);
+    const auto& children = tree.ChildrenOf(u);
+    for (size_t ci = children.size(); ci-- > 0;) stack.push_back(children[ci]);
+  }
+  ASPEN_CHECK_EQ(static_cast<int>(order.size()), n);
+  // Subtree sizes: every node follows its parent in the tour, so a reverse
+  // walk completes each subtree before adding it to its parent.
+  std::vector<int32_t> size(n, 1);
+  for (int i = n; i-- > 1;) size[tree.ParentOf(order[i])] += size[order[i]];
+  for (NodeId u = 0; u < n; ++u) index.tout[u] = index.tin[u] + size[u];
+
+  // (value, tour position), sorted: one group per value, positions ascending.
+  std::vector<std::pair<int32_t, int32_t>> keyed(n);
+  for (NodeId u = 0; u < n; ++u) keyed[u] = {values[u], index.tin[u]};
+  std::sort(keyed.begin(), keyed.end());
+  sorted_values->resize(n);
+  index.tins_by_value.resize(n);
+  std::vector<int32_t> prev(n, -1);  // previous position holding the value
+  for (int i = 0; i < n; ++i) {
+    (*sorted_values)[i] = keyed[i].first;
+    index.tins_by_value[i] = keyed[i].second;
+    if (i > 0 && keyed[i].first == keyed[i - 1].first) {
+      prev[keyed[i].second] = keyed[i - 1].second;
+    }
+  }
+
+  // Distinct values per subtree, offline: walking the tour, keep a mark on
+  // the latest position of every value seen so far (a Fenwick tree over
+  // positions). When the walk reaches the end of a subtree's range, the
+  // marks inside the range count its distinct values.
+  std::vector<int32_t> fenwick(n + 1, 0);
+  auto add = [&](int pos, int32_t delta) {
+    for (int i = pos + 1; i <= n; i += i & -i) fenwick[i] += delta;
+  };
+  auto prefix = [&](int end) {  // marks in positions [0, end)
+    int32_t sum = 0;
+    for (int i = end; i > 0; i -= i & -i) sum += fenwick[i];
+    return sum;
+  };
+  distinct->resize(n);
+  for (int i = 0; i < n; ++i) {
+    if (prev[i] >= 0) add(prev[i], -1);
+    add(i, 1);
+    // The ranges ending here: order[i] if it is a leaf, then each ancestor
+    // whose last descendant it is.
+    for (NodeId u = order[i]; u != -1 && index.tout[u] == i + 1;
+         u = tree.ParentOf(u)) {
+      (*distinct)[u] = prefix(i + 1) - prefix(index.tin[u]);
+    }
+  }
+  return index;
+}
+
+std::pair<size_t, size_t> MultiTree::ExactSlice(const ScalarIndex& index,
+                                                int32_t value) {
+  const auto& sorted = index.sorted_values;
+  const auto range = std::equal_range(sorted.begin(), sorted.end(), value);
+  return {static_cast<size_t>(range.first - sorted.begin()),
+          static_cast<size_t>(range.second - sorted.begin())};
+}
+
+bool MultiTree::ExactSubtreeHolds(const ExactTreeIndex& tree_index,
+                                  std::pair<size_t, size_t> slice,
+                                  NodeId child) {
+  const int32_t* first = tree_index.tins_by_value.data() + slice.first;
+  const int32_t* last = tree_index.tins_by_value.data() + slice.second;
+  const int32_t* it = std::lower_bound(first, last, tree_index.tin[child]);
+  return it != last && *it < tree_index.tout[child];
+}
+
+bool MultiTree::ChildMayContain(int attr_idx, int tree, NodeId node,
+                                size_t child_idx, int32_t value) const {
+  ASPEN_CHECK(attr_idx >= 0 &&
+              attr_idx < static_cast<int>(scalar_indexes_.size()));
+  const ScalarIndex& index = scalar_indexes_[attr_idx];
+  if (index.decl.summary_type != SummaryType::kExact) {
+    return index.per_tree[tree][node][child_idx]->MayContain(value);
+  }
+  return ExactSubtreeHolds(index.exact[tree], ExactSlice(index, value),
+                           trees_[tree]->ChildrenOf(node)[child_idx]);
+}
+
+void MultiTree::ChargeSummaryShip(NodeId u, int summary_bytes,
+                                  net::TrafficStats* stats) {
+  const int bytes = summary_bytes + net::WireFormat::kLinkHeaderBytes;
+  if (stats != nullptr) {
+    stats->RecordSend(u, net::MessageKind::kBeacon, bytes);
+  }
+  construction_bytes_ += bytes;
 }
 
 void MultiTree::IndexPositions(net::TrafficStats* stats) {
@@ -236,13 +354,7 @@ void MultiTree::IndexPositions(net::TrafficStats* stats) {
         own.Merge(subtree[c]);
       }
       subtree[u] = own;
-      if (tree.ParentOf(u) != -1) {
-        int bytes = own.SizeBytes() + net::WireFormat::kLinkHeaderBytes;
-        if (stats != nullptr) {
-          stats->RecordSend(u, net::MessageKind::kBeacon, bytes);
-        }
-        construction_bytes_ += bytes;
-      }
+      if (tree.ParentOf(u) != -1) ChargeSummaryShip(u, own.SizeBytes(), stats);
     }
   }
 }
@@ -372,12 +484,22 @@ std::vector<FoundPath> MultiTree::FindMatches(
   ASPEN_CHECK(attr_idx >= 0 &&
               attr_idx < static_cast<int>(scalar_indexes_.size()));
   const ScalarIndex& index = scalar_indexes_[attr_idx];
-  auto descend = [&](int t, NodeId u, size_t ci) {
-    return index.per_tree[t][u][ci]->MayContain(value);
-  };
   auto matches = [&](NodeId u) {
     if (index.values[u] != value) return false;
     return accept == nullptr || accept(u);
+  };
+  if (index.decl.summary_type == SummaryType::kExact) {
+    // One group lookup per search; each descend is then a range probe into
+    // the value's (usually tiny) group of tour positions.
+    const std::pair<size_t, size_t> slice = ExactSlice(index, value);
+    auto descend = [&](int t, NodeId u, size_t ci) {
+      return ExactSubtreeHolds(index.exact[t], slice,
+                               trees_[t]->ChildrenOf(u)[ci]);
+    };
+    return Search(source, descend, matches, stats, search_stats);
+  }
+  auto descend = [&](int t, NodeId u, size_t ci) {
+    return index.per_tree[t][u][ci]->MayContain(value);
   };
   return Search(source, descend, matches, stats, search_stats);
 }

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -98,8 +99,19 @@ class MultiTree {
   /// tables. Charges summary-aggregation traffic (each node ships its merged
   /// subtree summary to its parent, per tree) when `stats` is non-null.
   /// Returns the attribute index used in searches.
+  ///
+  /// `SummaryType::kExact` tables are not materialized per node: each tree
+  /// keeps one O(n) subtree-interval index that answers every per-child
+  /// membership question exactly as an ExactSummary of that child's subtree
+  /// would, and charges the same aggregation bytes.
   Result<int> IndexAttribute(const IndexedAttribute& attr,
                              net::TrafficStats* stats = nullptr);
+
+  /// \brief The pruning decision exploration makes before descending from
+  /// `node` into its `child_idx`-th child in tree `tree`: whether that
+  /// child's subtree summary of attribute `attr_idx` may contain `value`.
+  bool ChildMayContain(int attr_idx, int tree, NodeId node, size_t child_idx,
+                       int32_t value) const;
 
   /// \brief Indexes node positions with per-subtree R-trees (for
   /// region-based predicates such as Query 3's Dst < 5m).
@@ -134,17 +146,51 @@ class MultiTree {
   int64_t construction_bytes() const { return construction_bytes_; }
 
  private:
+  /// Exact subtree membership for one tree. In a pre-order tour every
+  /// subtree is the contiguous position range [tin[u], tout[u]), so "does
+  /// u's subtree hold value v" is "does one of v's tour positions fall in
+  /// that range".
+  struct ExactTreeIndex {
+    std::vector<int32_t> tin;   ///< pre-order position, children in order
+    std::vector<int32_t> tout;  ///< tin + subtree size
+    /// Tour positions of all nodes, grouped by value in the order of
+    /// ScalarIndex::sorted_values and ascending within each group.
+    std::vector<int32_t> tins_by_value;
+  };
+
   /// Per-tree, per-node semantic routing table for one scalar attribute.
   struct ScalarIndex {
     IndexedAttribute decl;
     /// value_fn(u) for every node, tabulated at index time — searches test
     /// candidates against this instead of re-evaluating the expression.
     std::vector<int32_t> values;
-    /// child_summary[tree][node] — summaries keyed parallel to
-    /// RoutingTree::ChildrenOf(node).
+    /// Bloom / Interval: child_summary[tree][node] — summaries keyed
+    /// parallel to RoutingTree::ChildrenOf(node).
     std::vector<std::vector<std::vector<std::unique_ptr<ScalarSummary>>>>
         per_tree;
+    /// Exact: `values` in ascending order (one group per distinct value,
+    /// the same offsets in every tree), and one tour index per tree.
+    std::vector<int32_t> sorted_values;
+    std::vector<ExactTreeIndex> exact;
   };
+
+  /// Offsets [first, second) of `value`'s group in an exact index.
+  static std::pair<size_t, size_t> ExactSlice(const ScalarIndex& index,
+                                              int32_t value);
+  /// Whether `child`'s subtree holds a tour position of `slice`.
+  static bool ExactSubtreeHolds(const ExactTreeIndex& tree_index,
+                                std::pair<size_t, size_t> slice, NodeId child);
+  /// Builds `tree`'s exact index over `values`, fills `sorted_values`, and
+  /// writes each node's count of distinct values in its subtree (the size
+  /// of the exact summary it ships to its parent) to `distinct`.
+  static ExactTreeIndex BuildExactTreeIndex(const RoutingTree& tree,
+                                            const std::vector<int32_t>& values,
+                                            std::vector<int32_t>* sorted_values,
+                                            std::vector<int32_t>* distinct);
+
+  /// Charges node `u` shipping a `summary_bytes` subtree summary to its
+  /// parent during index construction.
+  void ChargeSummaryShip(NodeId u, int summary_bytes, net::TrafficStats* stats);
 
   struct PositionIndex {
     bool built = false;

@@ -125,7 +125,7 @@ void ExactSummary::Merge(const ScalarSummary& other) {
 }
 
 int ExactSummary::SizeBytes() const {
-  return static_cast<int>(values_.size()) * 2;  // 16-bit values
+  return static_cast<int>(values_.size()) * kValueBytes;
 }
 
 std::unique_ptr<ScalarSummary> ExactSummary::Clone() const {

@@ -92,6 +92,9 @@ class IntervalSummary : public ScalarSummary {
 /// \brief Exact value set; ablation baseline for summary precision.
 class ExactSummary : public ScalarSummary {
  public:
+  /// Wire size of one value (16-bit values).
+  static constexpr int kValueBytes = 2;
+
   void Insert(int32_t value) override;
   bool MayContain(int32_t value) const override;
   bool MayContainRange(int32_t lo, int32_t hi) const override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "routing/content_address.h"
@@ -228,6 +229,30 @@ std::vector<std::pair<net::NodeId, net::NodeId>> Workload::AllJoinPairs()
   std::vector<std::pair<net::NodeId, net::NodeId>> out;
   auto s_nodes = SNodes();
   auto t_nodes = TNodes();
+  const auto& primary = analysis_.primary;
+  if (primary.has_value() && primary->probe_expr != nullptr &&
+      primary->target_expr != nullptr) {
+    // Equality primary: a pair can only join when probe(s) == target(t), so
+    // each s scans just the T nodes carrying its key. Sorting by (key, id)
+    // keeps each key's T nodes in ascending id order, which reproduces the
+    // nested loop's output order exactly.
+    std::vector<std::pair<int32_t, net::NodeId>> keyed;
+    keyed.reserve(t_nodes.size());
+    for (net::NodeId t : t_nodes) {
+      keyed.emplace_back(*TJoinKey(t), t);
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (net::NodeId s : s_nodes) {
+      const int32_t key = *SJoinKey(s);
+      auto it = std::lower_bound(keyed.begin(), keyed.end(),
+                                 std::make_pair(key, INT32_MIN));
+      for (; it != keyed.end() && it->first == key; ++it) {
+        const net::NodeId t = it->second;
+        if (s != t && StaticPairJoins(s, t)) out.emplace_back(s, t);
+      }
+    }
+    return out;
+  }
   for (net::NodeId s : s_nodes) {
     for (net::NodeId t : t_nodes) {
       if (s != t && StaticPairJoins(s, t)) out.emplace_back(s, t);

@@ -1,10 +1,17 @@
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "net/topology.h"
+#include "net/traffic_stats.h"
 #include "routing/multi_tree.h"
+#include "routing/summary.h"
 
 namespace aspen {
 namespace routing {
@@ -169,6 +176,307 @@ TEST_P(MultiTreeTest, ConstructionBytesAccumulate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TreeCounts, MultiTreeTest, ::testing::Values(1, 2, 3));
+
+// ---- exact index equivalence -------------------------------------------------
+//
+// The oracle is the materialized form of the exact routing tables: every
+// node holds a clone of each child's merged ExactSummary, built deepest
+// node first, and exploration re-runs the protocol over those summaries
+// with every stack item carrying its own path. The subtree-interval index
+// must reproduce it decision for decision and byte for byte.
+
+// Exploration wire sizes (see multi_tree.cc).
+constexpr int kExploreBaseBytes = 6;
+constexpr int kReplyBaseBytes = 4;
+
+using KeyFn = std::function<int32_t(NodeId)>;
+
+struct ReferenceExactIndex {
+  /// per_tree[tree][node][child_idx], parallel to ChildrenOf(node).
+  std::vector<std::vector<std::vector<std::unique_ptr<ScalarSummary>>>>
+      per_tree;
+  /// Summary-aggregation bytes (tree beacons excluded).
+  int64_t aggregation_bytes = 0;
+};
+
+ReferenceExactIndex BuildReferenceIndex(const MultiTree& multi,
+                                        const KeyFn& key,
+                                        net::TrafficStats* stats) {
+  const int n = multi.topology().num_nodes();
+  ReferenceExactIndex ref;
+  ref.per_tree.resize(multi.num_trees());
+  for (int t = 0; t < multi.num_trees(); ++t) {
+    const RoutingTree& tree = multi.tree(t);
+    auto& per_node = ref.per_tree[t];
+    per_node.resize(n);
+    std::vector<std::unique_ptr<ScalarSummary>> subtree(n);
+    std::vector<NodeId> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return tree.DepthOf(a) > tree.DepthOf(b);
+    });
+    for (NodeId u : order) {
+      auto own = std::make_unique<ExactSummary>();
+      own->Insert(key(u));
+      for (NodeId c : tree.ChildrenOf(u)) {
+        per_node[u].push_back(subtree[c]->Clone());
+        own->Merge(*subtree[c]);
+      }
+      if (tree.ParentOf(u) != -1) {
+        const int bytes = own->SizeBytes() + net::WireFormat::kLinkHeaderBytes;
+        if (stats != nullptr) {
+          stats->RecordSend(u, net::MessageKind::kBeacon, bytes);
+        }
+        ref.aggregation_bytes += bytes;
+      }
+      subtree[u] = std::move(own);
+    }
+  }
+  return ref;
+}
+
+std::vector<FoundPath> ReferenceFindMatches(
+    const MultiTree& multi, const ReferenceExactIndex& ref, const KeyFn& key,
+    NodeId source, int32_t value, const std::function<bool(NodeId)>& accept,
+    net::TrafficStats* stats, SearchStats* ss) {
+  std::vector<FoundPath> results;
+  auto charge_hop = [&](NodeId from, size_t depth) {
+    const int bytes = net::WireFormat::kLinkHeaderBytes + kExploreBaseBytes +
+                      static_cast<int>(depth) * net::WireFormat::kPathEntryBytes;
+    stats->RecordSend(from, net::MessageKind::kExploration, bytes);
+    ss->exploration_bytes += bytes;
+    ss->max_hops = std::max(ss->max_hops, static_cast<int>(depth) + 1);
+  };
+  auto charge_reply = [&](const std::vector<NodeId>& path) {
+    const int hops = static_cast<int>(path.size()) - 1;
+    const int bytes = net::WireFormat::kLinkHeaderBytes + kReplyBaseBytes +
+                      2 * hops * net::WireFormat::kPathEntryBytes;
+    for (size_t k = path.size(); k-- > 1;) {
+      stats->RecordSend(path[k], net::MessageKind::kExplorationReply, bytes);
+      ss->reply_bytes += bytes;
+    }
+    ss->max_hops = std::max(ss->max_hops, 2 * hops);
+    ++ss->paths_found;
+  };
+  for (int t = 0; t < multi.num_trees(); ++t) {
+    const RoutingTree& tree = multi.tree(t);
+    const auto& summaries = ref.per_tree[t];
+    struct Item {
+      NodeId node;
+      std::vector<NodeId> path;
+    };
+    std::vector<Item> stack;
+    auto visit = [&](const Item& item) {
+      ++ss->nodes_visited;
+      if (item.node != source && key(item.node) == value &&
+          (accept == nullptr || accept(item.node))) {
+        charge_reply(item.path);
+        results.push_back(FoundPath{item.node, item.path, t});
+      }
+    };
+    auto push_child = [&](const std::vector<NodeId>& path, NodeId child) {
+      charge_hop(path.back(), path.size() - 1);
+      std::vector<NodeId> extended = path;
+      extended.push_back(child);
+      stack.push_back(Item{child, std::move(extended)});
+    };
+    auto expand_down = [&](const Item& item) {
+      const auto& children = tree.ChildrenOf(item.node);
+      for (size_t ci = 0; ci < children.size(); ++ci) {
+        if (summaries[item.node][ci]->MayContain(value)) {
+          push_child(item.path, children[ci]);
+        }
+      }
+    };
+    expand_down(Item{source, {source}});
+    std::vector<NodeId> up_path{source};
+    for (NodeId cur = source; tree.ParentOf(cur) != -1;
+         cur = tree.ParentOf(cur)) {
+      const NodeId p = tree.ParentOf(cur);
+      charge_hop(cur, up_path.size() - 1);
+      up_path.push_back(p);
+      visit(Item{p, up_path});
+      const auto& children = tree.ChildrenOf(p);
+      for (size_t ci = 0; ci < children.size(); ++ci) {
+        if (children[ci] == cur) continue;
+        if (summaries[p][ci]->MayContain(value)) {
+          push_child(up_path, children[ci]);
+        }
+      }
+    }
+    while (!stack.empty()) {
+      Item item = std::move(stack.back());
+      stack.pop_back();
+      visit(item);
+      expand_down(item);
+    }
+  }
+  return results;
+}
+
+void ExpectSameTraffic(const net::TrafficStats& a, const net::TrafficStats& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  for (NodeId u = 0; u < a.num_nodes(); ++u) {
+    ASSERT_EQ(a.node(u).bytes_sent, b.node(u).bytes_sent) << "node " << u;
+    ASSERT_EQ(a.node(u).messages_sent, b.node(u).messages_sent) << "node " << u;
+  }
+  for (size_t k = 0; k < static_cast<size_t>(net::MessageKind::kNumKinds);
+       ++k) {
+    const auto kind = static_cast<net::MessageKind>(k);
+    ASSERT_EQ(a.BytesByKind(kind), b.BytesByKind(kind)) << "kind " << k;
+    ASSERT_EQ(a.MessagesByKind(kind), b.MessagesByKind(kind)) << "kind " << k;
+  }
+  ASSERT_EQ(a.QueryBytesSent(0), b.QueryBytesSent(0));
+  ASSERT_EQ(a.QueryMessagesSent(0), b.QueryMessagesSent(0));
+}
+
+struct ExactCase {
+  const char* name;
+  net::Topology topo;
+};
+
+std::vector<ExactCase> ExactCases() {
+  std::vector<ExactCase> cases;
+  cases.push_back({"random100", *net::Topology::Random(100, 7.0, 23)});
+  cases.push_back({"random200", *net::Topology::Random(200, 7.0, 5)});
+  cases.push_back({"random1000", *net::Topology::Random(1000, 7.0, 11)});
+  cases.push_back({"grid20x20", *net::Topology::Grid(20, 20)});
+  return cases;
+}
+
+/// Key layouts: a small domain (every value repeated), unique keys, and
+/// mostly-unique keys with some collisions.
+std::vector<std::pair<const char*, KeyFn>> KeyFns(int n) {
+  return {{"small_domain", [](NodeId u) { return (u * 7) % 12; }},
+          {"unique", [](NodeId u) { return 3 * u + 1; }},
+          {"collisions",
+           [n](NodeId u) { return static_cast<int32_t>((u * 37) % (n / 2)); }}};
+}
+
+/// Probes: present values of every layout plus absent ones (below, between
+/// and above the present values).
+std::vector<int32_t> Probes(int n) {
+  return {-5, 0, 1, 3, 4, 5, 11, 2, 3 * (n / 2) + 1, n / 2 - 1, 3 * n + 7,
+          1 << 20};
+}
+
+TEST(MultiTreeExactIndexTest, DescendDecisionsMatchMaterializedSummaries) {
+  for (const ExactCase& c : ExactCases()) {
+    const int n = c.topo.num_nodes();
+    for (int trees = 1; trees <= 3; ++trees) {
+      MultiTreeOptions opts;
+      opts.num_trees = trees;
+      MultiTree multi(&c.topo, opts);
+      for (const auto& [key_name, key] : KeyFns(n)) {
+        SCOPED_TRACE(std::string(c.name) + " trees=" + std::to_string(trees) +
+                     " keys=" + key_name);
+        IndexedAttribute attr;
+        attr.name = key_name;
+        attr.summary_type = SummaryType::kExact;
+        attr.value_fn = key;
+        auto idx = multi.IndexAttribute(attr);
+        ASSERT_TRUE(idx.ok());
+        const ReferenceExactIndex ref = BuildReferenceIndex(multi, key, nullptr);
+        for (int t = 0; t < trees; ++t) {
+          for (NodeId u = 0; u < n; ++u) {
+            const size_t fanout = multi.tree(t).ChildrenOf(u).size();
+            for (size_t ci = 0; ci < fanout; ++ci) {
+              for (int32_t probe : Probes(n)) {
+                ASSERT_EQ(multi.ChildMayContain(*idx, t, u, ci, probe),
+                          ref.per_tree[t][u][ci]->MayContain(probe))
+                    << "tree " << t << " node " << u << " child " << ci
+                    << " probe " << probe;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MultiTreeExactIndexTest, SearchesMatchMaterializedSummaries) {
+  for (const ExactCase& c : ExactCases()) {
+    const int n = c.topo.num_nodes();
+    const int source_stride = n > 400 ? 13 : 1;
+    for (int trees = 1; trees <= 3; ++trees) {
+      MultiTreeOptions opts;
+      opts.num_trees = trees;
+      MultiTree multi(&c.topo, opts);
+      for (const auto& [key_name, key] : KeyFns(n)) {
+        SCOPED_TRACE(std::string(c.name) + " trees=" + std::to_string(trees) +
+                     " keys=" + key_name);
+        IndexedAttribute attr;
+        attr.name = key_name;
+        attr.summary_type = SummaryType::kExact;
+        attr.value_fn = key;
+        auto idx = multi.IndexAttribute(attr);
+        ASSERT_TRUE(idx.ok());
+        const ReferenceExactIndex ref = BuildReferenceIndex(multi, key, nullptr);
+        net::TrafficStats got_stats(n), want_stats(n);
+        for (NodeId source = 0; source < n; source += source_stride) {
+          for (int32_t probe : Probes(n)) {
+            // Alternate between no filter and a secondary predicate.
+            std::function<bool(NodeId)> accept;
+            if ((source + probe) % 2 == 0) {
+              accept = [](NodeId t) { return t % 3 != 0; };
+            }
+            SearchStats got_ss, want_ss;
+            const auto got = multi.FindMatches(source, *idx, probe, accept,
+                                               &got_stats, &got_ss);
+            const auto want = ReferenceFindMatches(
+                multi, ref, key, source, probe, accept, &want_stats, &want_ss);
+            ASSERT_EQ(got.size(), want.size())
+                << "source " << source << " probe " << probe;
+            for (size_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(got[i].target, want[i].target) << i;
+              ASSERT_EQ(got[i].path, want[i].path) << i;
+              ASSERT_EQ(got[i].tree_index, want[i].tree_index) << i;
+            }
+            ASSERT_EQ(got_ss.exploration_bytes, want_ss.exploration_bytes);
+            ASSERT_EQ(got_ss.reply_bytes, want_ss.reply_bytes);
+            ASSERT_EQ(got_ss.max_hops, want_ss.max_hops);
+            ASSERT_EQ(got_ss.nodes_visited, want_ss.nodes_visited);
+            ASSERT_EQ(got_ss.paths_found, want_ss.paths_found);
+          }
+        }
+        ExpectSameTraffic(got_stats, want_stats);
+      }
+    }
+  }
+}
+
+TEST(MultiTreeExactIndexTest, ConstructionChargesMatchMaterializedSummaries) {
+  for (const ExactCase& c : ExactCases()) {
+    const int n = c.topo.num_nodes();
+    for (int trees = 1; trees <= 3; ++trees) {
+      MultiTreeOptions opts;
+      opts.num_trees = trees;
+      for (const auto& [key_name, key] : KeyFns(n)) {
+        SCOPED_TRACE(std::string(c.name) + " trees=" + std::to_string(trees) +
+                     " keys=" + key_name);
+        IndexedAttribute attr;
+        attr.name = key_name;
+        attr.summary_type = SummaryType::kExact;
+        attr.value_fn = key;
+
+        net::TrafficStats got_stats(n), want_stats(n);
+        MultiTree charged(&c.topo, opts, &got_stats);
+        ASSERT_TRUE(charged.IndexAttribute(attr, &got_stats).ok());
+        MultiTree reference(&c.topo, opts, &want_stats);
+        const ReferenceExactIndex ref =
+            BuildReferenceIndex(reference, key, &want_stats);
+        ExpectSameTraffic(got_stats, want_stats);
+        EXPECT_EQ(charged.construction_bytes(),
+                  reference.construction_bytes() + ref.aggregation_bytes);
+
+        MultiTree uncharged(&c.topo, opts);
+        ASSERT_TRUE(uncharged.IndexAttribute(attr).ok());
+        EXPECT_EQ(uncharged.construction_bytes(), charged.construction_bytes());
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace routing

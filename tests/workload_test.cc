@@ -1,9 +1,12 @@
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
+#include "query/parser.h"
 #include "query/window.h"
 #include "workload/workload.h"
 
@@ -289,6 +292,62 @@ TEST(WorkloadTest, Query3RegionPairs) {
     double dy = st[AttrId::kAttrPosY] - tt[AttrId::kAttrPosY];
     EXPECT_LT(dx * dx + dy * dy, 50.0 * 50.0);
   }
+}
+
+// The nested loop AllJoinPairs replaced for equality primaries: every
+// (S, T) candidate, S ascending, then T ascending.
+std::vector<std::pair<NodeId, NodeId>> NestedLoopPairs(const Workload& wl) {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  for (NodeId s : wl.SNodes()) {
+    for (NodeId t : wl.TNodes()) {
+      if (s != t && wl.StaticPairJoins(s, t)) out.emplace_back(s, t);
+    }
+  }
+  return out;
+}
+
+TEST(WorkloadTest, AllJoinPairsEqualsNestedLoop) {
+  auto topo = Topo();
+  auto grid = *net::Topology::Grid(15, 15);
+  auto lab = net::Topology::IntelLab();
+  std::vector<std::pair<std::string, Result<Workload>>> cases;
+  cases.emplace_back("query0",
+                     Workload::MakeQuery0(&topo, {0.5, 0.5, 0.2}, 30, 3, 7));
+  cases.emplace_back("query0_grid",
+                     Workload::MakeQuery0(&grid, {0.5, 0.5, 0.2}, 80, 3, 3));
+  cases.emplace_back("query1", Workload::MakeQuery1(&topo, {0.5, 0.5, 0.2}, 3, 7));
+  cases.emplace_back("query1_grid",
+                     Workload::MakeQuery1(&grid, {0.5, 0.5, 0.2}, 3, 5));
+  cases.emplace_back("query2", Workload::MakeQuery2(&topo, {0.5, 0.5, 0.1}, 1, 7));
+  cases.emplace_back("query3", Workload::MakeQuery3(&lab, 1, 7));
+  // Appendix-B style SQL: a primary with many duplicate keys (16 rooms)
+  // plus secondary static clauses the keyed pass must still apply.
+  auto parsed = query::ParseQuery(
+      "SELECT S.id, T.id FROM S, T [windowsize=3] "
+      "WHERE S.room = T.room AND S.id < T.id AND S.x > T.y + 20 "
+      "AND S.u = T.u");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  cases.emplace_back("parsed_room",
+                     Workload::FromQuery(&topo, *parsed, {1.0, 1.0, 0.2}, 7));
+  for (auto& [name, wl] : cases) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+    const auto pairs = wl->AllJoinPairs();
+    EXPECT_FALSE(pairs.empty());
+    EXPECT_EQ(pairs, NestedLoopPairs(*wl));
+  }
+  // The parsed query's primary really routes on a duplicated key, and its
+  // secondary clauses really prune.
+  const Workload& room = *cases.back().second;
+  ASSERT_TRUE(room.analysis().primary.has_value());
+  EXPECT_EQ(room.analysis().secondary_static_join.size(), 2u);
+  int same_room = 0;
+  for (NodeId s : room.SNodes()) {
+    for (NodeId t : room.TNodes()) {
+      if (s != t && *room.SJoinKey(s) == *room.TJoinKey(t)) ++same_room;
+    }
+  }
+  EXPECT_GT(same_room, static_cast<int>(room.AllJoinPairs().size()));
 }
 
 TEST(WorkloadTest, JoinKeysConsistentWithPairing) {
