@@ -36,7 +36,9 @@ int main() {
         opts, cycles, runs));
     // Path-length diagnostic from one representative initiation.
     auto wl = OrDie(workload::Workload::MakeQuery1(&topo, sel, 3, 7));
-    join::JoinExecutor exec(&wl, opts);
+    join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                              join::SoloMediumOptions(wl, opts));
+    join::JoinExecutor& exec = *medium.AddQuery(&wl, opts);
     if (!exec.Initiate().ok()) return 1;
     double hops = 0;
     int n = 0;

@@ -7,6 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "join/executor.h"
+#include "join/medium.h"
 #include "opt/centralized.h"
 #include "routing/routing_tree.h"
 
@@ -29,7 +30,9 @@ int main() {
     join::ExecutorOptions opts =
         MakeOptions({join::Algorithm::kInnet, join::InnetFeatures::Cmg()},
                     sel);
-    join::JoinExecutor exec(&wl, opts);
+    join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                              join::SoloMediumOptions(wl, opts));
+    join::JoinExecutor& exec = *medium.AddQuery(&wl, opts);
     if (!exec.Initiate().ok()) return 1;
     dist_base += static_cast<double>(exec.network().stats().BaseStationBytes());
     dist_total += static_cast<double>(exec.network().stats().TotalBytesSent());

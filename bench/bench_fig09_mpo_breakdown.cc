@@ -6,7 +6,7 @@
 //     selectivities: cmpg achieves additional gains on long runs.
 
 #include "bench/bench_util.h"
-#include "join/executor.h"
+#include "join/medium.h"
 
 using namespace aspen;
 using namespace aspen::benchutil;
@@ -30,22 +30,27 @@ int main() {
   std::vector<std::string> headers{"cycles"};
   for (const auto& a : algos) headers.push_back(a.Name());
   core::Table by_duration(headers);
-  // One executor per algorithm, sampled every 30 cycles.
+  // One query per algorithm, each alone on its medium, sampled every 30
+  // cycles.
   std::vector<std::unique_ptr<workload::Workload>> wls;
-  std::vector<std::unique_ptr<join::JoinExecutor>> execs;
+  std::vector<std::unique_ptr<join::SharedMedium>> media;
   for (const auto& algo : algos) {
     wls.push_back(std::make_unique<workload::Workload>(
         OrDie(workload::Workload::MakeQuery2(&topo, sel, 1, 7))));
-    execs.push_back(std::make_unique<join::JoinExecutor>(
-        wls.back().get(), MakeOptions(algo, sel)));
-    if (!execs.back()->Initiate().ok()) return 1;
+    const join::ExecutorOptions opts = MakeOptions(algo, sel);
+    media.push_back(std::make_unique<join::SharedMedium>(
+        &topo, join::NetworkOptionsFor(opts),
+        join::SoloMediumOptions(*wls.back(), opts)));
+    if (!media.back()->AddQuery(wls.back().get(), opts)->Initiate().ok()) {
+      return 1;
+    }
   }
   for (int cycles = 0; cycles <= 300; cycles += 30) {
     std::vector<std::string> row{std::to_string(cycles)};
-    for (auto& exec : execs) {
-      if (cycles > 0 && !exec->RunCycles(30).ok()) return 1;
-      row.push_back(core::Fixed(
-          exec->network().stats().TotalBytesSent() / 1024.0, 1));
+    for (auto& medium : media) {
+      if (cycles > 0 && !medium->RunCycles(30).ok()) return 1;
+      row.push_back(
+          core::Fixed(medium->stats().TotalBytesSent() / 1024.0, 1));
     }
     by_duration.AddRow(row);
   }

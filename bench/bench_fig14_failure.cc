@@ -7,11 +7,12 @@
 // afterwards behaves like joining at the base.
 //
 // The failure is scripted through the scenario engine (a DynamicsSchedule
-// replayed by a ScenarioDriver on the executor's own scheduler) rather than
-// by splitting the run around a manual FailNode call.
+// replayed by a ScenarioDriver on the query's medium) rather than by
+// splitting the run around a manual FailNode call.
 
 #include "bench/bench_util.h"
 #include "join/executor.h"
+#include "join/medium.h"
 #include "scenario/dynamics.h"
 
 using namespace aspen;
@@ -35,7 +36,9 @@ Outcome RunOnce(const net::Topology& topo, double sigma_st, bool fail,
   workload::SelectivityParams assumed{1.0, 1.0, 0.02};
   join::ExecutorOptions opts = MakeOptions(
       {join::Algorithm::kInnet, join::InnetFeatures::None()}, assumed);
-  join::JoinExecutor exec(&wl, opts);
+  join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                            join::SoloMediumOptions(wl, opts));
+  join::JoinExecutor& exec = *medium.AddQuery(&wl, opts);
   if (!exec.Initiate().ok()) std::abort();
   const int cycles = 100;
   int fail_at = static_cast<int>(cycles * fail_frac);
@@ -49,9 +52,9 @@ Outcome RunOnce(const net::Topology& topo, double sigma_st, bool fail,
       }
     }
   }
-  scenario::ScenarioDriver driver(&exec.network(), &schedule);
-  exec.scheduler()->AttachFront(&driver);
-  (void)exec.RunCycles(cycles);
+  scenario::ScenarioDriver driver(&medium.network(), &schedule);
+  medium.scheduler()->AttachFront(&driver);
+  (void)medium.RunCycles(cycles);
   auto stats = exec.Stats();
   Outcome out;
   // The paper plots worst-case result delay around the failure window.

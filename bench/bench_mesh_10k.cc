@@ -21,6 +21,7 @@
 #include "bench/bench_util.h"
 #include "core/engine.h"
 #include "join/executor.h"
+#include "join/medium.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -50,7 +51,9 @@ int Main(int argc, char** argv) {
   opts.mesh_mode = true;
   opts.knobs = benchutil::KnobsFromEnv();
 
-  join::JoinExecutor exec(&wl, opts);
+  join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                            join::SoloMediumOptions(wl, opts));
+  join::JoinExecutor& exec = *medium.AddQuery(&wl, opts);
   auto t0 = std::chrono::steady_clock::now();
   Status st = exec.Initiate();
   if (!st.ok()) {
@@ -58,7 +61,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
   auto t1 = std::chrono::steady_clock::now();
-  st = exec.RunCycles(warmup_cycles);
+  st = medium.RunCycles(warmup_cycles);
   if (!st.ok()) {
     std::fprintf(stderr, "fatal: %s\n", st.ToString().c_str());
     return 1;
@@ -67,7 +70,7 @@ int Main(int argc, char** argv) {
   const uint64_t allocs_before = allocaudit::Count();
   const uint64_t bytes_before = exec.network().stats().TotalBytesSent();
   auto t2 = std::chrono::steady_clock::now();
-  st = exec.RunCycles(measured_cycles);
+  st = medium.RunCycles(measured_cycles);
   auto t3 = std::chrono::steady_clock::now();
   if (!st.ok()) {
     std::fprintf(stderr, "fatal: %s\n", st.ToString().c_str());

@@ -307,12 +307,14 @@ void BM_FullExperimentCycle(benchmark::State& state) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  join::JoinExecutor exec(&wl, opts);
+  join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                            join::SoloMediumOptions(wl, opts));
+  join::JoinExecutor& exec = *medium.AddQuery(&wl, opts);
   if (!exec.Initiate().ok()) state.SkipWithError("initiate failed");
   const uint64_t allocs_before = allocaudit::Count();
   const uint64_t bytes_before = exec.network().stats().TotalBytesSent();
   for (auto _ : state) {
-    if (!exec.RunCycles(1).ok()) state.SkipWithError("run failed");
+    if (!medium.RunCycles(1).ok()) state.SkipWithError("run failed");
   }
   const double cycles = static_cast<double>(state.iterations());
   state.counters["allocs_per_cycle"] = benchmark::Counter(
@@ -338,7 +340,9 @@ void BM_SampleStage(benchmark::State& state) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  join::JoinExecutor exec(&wl, opts);
+  join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                            join::SoloMediumOptions(wl, opts));
+  join::JoinExecutor& exec = *medium.AddQuery(&wl, opts);
   if (!exec.Initiate().ok()) state.SkipWithError("initiate failed");
   sim::ShardPhaseParticipant& sp = exec;
   const net::NodeId n = topo.num_nodes();

@@ -27,6 +27,7 @@
 #include "bench/bench_util.h"
 #include "core/engine.h"
 #include "join/executor.h"
+#include "join/medium.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -68,9 +69,11 @@ RunOutcome RunOne(const net::Topology& topo, const Phases& ph,
   opts.knobs = benchutil::KnobsFromEnv();
   opts.knobs.reopt_interval = reopt_interval;
 
-  join::JoinExecutor exec(&wl, opts);
+  join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                            join::SoloMediumOptions(wl, opts));
+  join::JoinExecutor& exec = *medium.AddQuery(&wl, opts);
   Status st = exec.Initiate();
-  if (st.ok()) st = exec.RunCycles(ph.pre + ph.adapt);
+  if (st.ok()) st = medium.RunCycles(ph.pre + ph.adapt);
   if (!st.ok()) {
     std::fprintf(stderr, "fatal: %s\n", st.ToString().c_str());
     std::abort();
@@ -93,7 +96,7 @@ RunOutcome RunOne(const net::Topology& topo, const Phases& ph,
   int exempt = 0;
   for (int c = 0; c < ph.tail; ++c) {
     const uint64_t a0 = allocaudit::Count();
-    st = exec.RunCycles(1);
+    st = medium.RunCycles(1);
     if (!st.ok()) {
       std::fprintf(stderr, "fatal: %s\n", st.ToString().c_str());
       std::abort();

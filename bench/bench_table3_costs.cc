@@ -8,6 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "join/executor.h"
+#include "join/medium.h"
 #include "opt/cost_model.h"
 #include "routing/content_address.h"
 #include "routing/routing_tree.h"
@@ -97,10 +98,11 @@ int main() {
   // In-Net: per-pair distances from the executor's actual placements.
   {
     auto wl_place = OrDie(workload::Workload::MakeQuery1(&topo, sel, 3, 7));
-    join::JoinExecutor exec(
-        &wl_place,
-        MakeOptions({join::Algorithm::kInnet, join::InnetFeatures::None()},
-                    sel));
+    const join::ExecutorOptions opts = MakeOptions(
+        {join::Algorithm::kInnet, join::InnetFeatures::None()}, sel);
+    join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                              join::SoloMediumOptions(wl_place, opts));
+    join::JoinExecutor& exec = *medium.AddQuery(&wl_place, opts);
     if (!exec.Initiate().ok()) return 1;
     opt::AlgorithmCostInputs innet_in = in;
     for (const auto& pl : exec.placements()) {

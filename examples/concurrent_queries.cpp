@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "core/engine.h"
 #include "core/report.h"
 #include "join/medium.h"
 #include "net/topology.h"
@@ -25,9 +26,9 @@ uint64_t SoloRun(const net::Topology& topo,
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  join::JoinExecutor exec(&*wl, opts);
-  if (!exec.Initiate().ok() || !exec.RunCycles(cycles).ok()) return 0;
-  return exec.network().stats().TotalBytesSent();
+  if (!wl.ok()) return 0;
+  auto stats = core::RunExperiment(*wl, opts, cycles);
+  return stats.ok() ? stats->total_bytes : 0;
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "core/report.h"
 #include "join/executor.h"
+#include "join/medium.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -40,7 +41,11 @@ int main() {
   opts.assumed = {1.0, 1.0, 1.0};
   opts.learning = true;
 
-  join::JoinExecutor exec(&*wl, opts);
+  // The query runs alone on a medium configured exactly as
+  // core::RunExperiment would host it.
+  join::SharedMedium medium(&topo, join::NetworkOptionsFor(opts),
+                            join::SoloMediumOptions(*wl, opts));
+  join::JoinExecutor& exec = *medium.AddQuery(&*wl, opts);
   if (!exec.Initiate().ok()) return 1;
   int at_base = 0;
   for (const auto& pl : exec.placements()) at_base += pl.at_base;
@@ -49,7 +54,7 @@ int main() {
               at_base, exec.placements().size());
 
   // Act 2: learning.
-  (void)exec.RunCycles(400);
+  (void)medium.RunCycles(400);
   at_base = 0;
   for (const auto& pl : exec.placements()) at_base += pl.at_base;
   std::printf(
@@ -70,7 +75,7 @@ int main() {
   if (victim >= 0) {
     exec.FailNode(victim);
     uint64_t before = exec.results();
-    (void)exec.RunCycles(200);
+    (void)medium.RunCycles(200);
     auto stats = exec.Stats();
     std::printf(
         "act 3 — node %d failed: %lu pairs failed over to the base, "

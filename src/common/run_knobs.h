@@ -1,7 +1,7 @@
 // The one definition of the run-shape knobs shared by every options struct.
 //
-// ExecutorOptions (one query on an owned network), MediumOptions (a shared
-// medium hosting many queries) and, transitively, core::ExperimentOptions /
+// ExecutorOptions (one query), MediumOptions (the medium hosting one or
+// many queries) and, transitively, core::ExperimentOptions /
 // core::ServiceOptions used to re-declare the same knobs — shard count,
 // pipeline depth, sampling clock — with subtly independent defaults. They
 // now all embed one RunKnobs, so a knob exists in exactly one place, the
@@ -44,9 +44,9 @@ struct RunKnobs {
   int pipeline_depth = 1;
 
   /// Transmission cycles per sampling cycle — the sampling clock of a
-  /// shared medium's scheduler. Every query admitted to a medium must
-  /// declare the same `window.sample_interval`. Owned-network executors
-  /// take the clock from their query instead and ignore this field.
+  /// medium's scheduler. Every query admitted to a medium must declare the
+  /// same `window.sample_interval`; core::RunExperiment takes the clock
+  /// from its query instead and ignores this field.
   int sample_interval = 100;
 
   /// Continuous re-optimization period, in sampling cycles: every

@@ -15,33 +15,47 @@
 namespace aspen {
 namespace core {
 
+namespace {
+
+/// RunExperiment on a one-query medium whose network borrows `plane` (a
+/// private arena when null). A borrowed plane is recycled: emptied here,
+/// its capacity reused by this run.
+Result<join::RunStats> RunOnPlane(const workload::Workload& workload,
+                                  const ExperimentOptions& options,
+                                  int sampling_cycles, net::DataPlane* plane) {
+  join::MediumOptions medium_opts =
+      join::SoloMediumOptions(workload, options.executor);
+  ASPEN_RETURN_NOT_OK(join::ValidateOptions(options.executor, medium_opts));
+  if (plane != nullptr) {
+    // Recycling happens before this run's medium exists; nothing else
+    // references the plane concurrently.
+    common::SequentialPhaseScope seq;
+    plane->Reset();
+  }
+  medium_opts.data_plane = plane;
+  join::SharedMedium medium(&workload.topology(),
+                            join::NetworkOptionsFor(options.executor),
+                            medium_opts);
+  ASPEN_ASSIGN_OR_RETURN(join::JoinExecutor * exec,
+                         medium.TryAddQuery(&workload, options.executor));
+  ASPEN_RETURN_NOT_OK(exec->Initiate());
+  std::optional<scenario::ScenarioDriver> driver;
+  if (options.dynamics != nullptr && !options.dynamics->empty()) {
+    driver.emplace(&medium.network(), options.dynamics);
+    // Front of the participant list: cycle-N events mutate the network
+    // before any sampling at cycle N.
+    medium.scheduler()->AttachFront(&*driver);
+  }
+  ASPEN_RETURN_NOT_OK(medium.RunCycles(sampling_cycles));
+  return exec->Stats();
+}
+
+}  // namespace
+
 Result<join::RunStats> RunExperiment(const workload::Workload& workload,
                                      const ExperimentOptions& options,
                                      int sampling_cycles) {
-  // The experiment owns the data-plane arena (route table + payload pools)
-  // for its run. A caller-supplied plane (RunAveraged's per-worker arena)
-  // is recycled: emptied here, its capacity reused by this run.
-  net::DataPlane local_plane;
-  ExperimentOptions run_options = options;
-  if (run_options.executor.data_plane == nullptr) {
-    run_options.executor.data_plane = &local_plane;
-  } else {
-    // Recycling happens before this run's executor exists; nothing else
-    // references the plane concurrently.
-    common::SequentialPhaseScope seq;
-    run_options.executor.data_plane->Reset();
-  }
-  join::JoinExecutor exec(&workload, run_options.executor);
-  ASPEN_RETURN_NOT_OK(exec.Initiate());
-  std::optional<scenario::ScenarioDriver> driver;
-  if (options.dynamics != nullptr && !options.dynamics->empty()) {
-    driver.emplace(&exec.network(), options.dynamics);
-    // Front of the participant list: cycle-N events mutate the network
-    // before any sampling at cycle N.
-    exec.scheduler()->AttachFront(&*driver);
-  }
-  ASPEN_RETURN_NOT_OK(exec.RunCycles(sampling_cycles));
-  return exec.Stats();
+  return RunOnPlane(workload, options, sampling_cycles, /*plane=*/nullptr);
 }
 
 Result<join::RunStats> RunExperiment(const workload::Workload& workload,
@@ -87,6 +101,7 @@ Result<std::unique_ptr<ServiceRunner>> ServiceRunner::Create(
           "ServiceRunner: templates span multiple topologies");
     }
   }
+  ASPEN_RETURN_NOT_OK(join::ValidateOptions(options.executor, options.medium));
   std::unique_ptr<ServiceRunner> runner(
       new ServiceRunner(std::move(templates), options));
   if (runner->driver_ != nullptr) {
@@ -269,8 +284,7 @@ Result<AggregatedStats> RunAveraged(const WorkloadFactory& factory,
     // repetitions that thread claims: slab and route-table capacity warmed
     // up by one repetition stays hot for the next.
     thread_local net::DataPlane worker_plane;
-    opts.executor.data_plane = &worker_plane;
-    outcomes[r] = RunExperiment(*wl, opts, sampling_cycles);
+    outcomes[r] = RunOnPlane(*wl, opts, sampling_cycles, &worker_plane);
     if (!outcomes[r].ok()) failed.store(true, std::memory_order_relaxed);
   });
   AggregatedStats agg;

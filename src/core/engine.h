@@ -32,7 +32,10 @@ struct ExperimentOptions {
   const scenario::DynamicsSchedule* dynamics = nullptr;
 };
 
-/// \brief Initiates and runs one experiment; returns its metrics.
+/// \brief Initiates and runs one experiment; returns its metrics. The query
+/// runs alone on a SharedMedium built from join::NetworkOptionsFor and
+/// join::SoloMediumOptions; knob values no run can execute
+/// (join::ValidateOptions) return InvalidArgument.
 Result<join::RunStats> RunExperiment(const workload::Workload& workload,
                                      const ExperimentOptions& options,
                                      int sampling_cycles);
@@ -104,9 +107,10 @@ struct ServiceStats {
 /// byte-identical results for any MediumOptions::shards value.
 class ServiceRunner : private scenario::QueryHost {
  public:
-  /// Validates the template pool (non-null, one topology) and builds the
-  /// medium and driver. `options.dynamics` (if any) must outlive the
-  /// runner; templates must too.
+  /// Validates the template pool (non-null, one topology) and the knobs
+  /// (join::ValidateOptions), then builds the medium and driver.
+  /// `options.dynamics` (if any) must outlive the runner; templates must
+  /// too.
   static Result<std::unique_ptr<ServiceRunner>> Create(
       std::vector<const workload::Workload*> templates,
       const ServiceOptions& options);

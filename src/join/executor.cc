@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "join/medium.h"
-#include "sim/sharded_scheduler.h"
 
 namespace aspen {
 namespace join {
@@ -41,62 +40,15 @@ std::string AlgorithmName(Algorithm algo, const InnetFeatures& f) {
 }
 
 JoinExecutor::JoinExecutor(const workload::Workload* workload,
-                           ExecutorOptions options)
-    : workload_(workload), opts_(options) {
-  net::NetworkOptions net_opts;
-  net_opts.loss_prob = opts_.loss_prob;
-  net_opts.max_retries = opts_.max_retries;
-  net_opts.enable_merging = opts_.algorithm == Algorithm::kInnet
-                                ? opts_.features.combining
-                                : false;
-  net_opts.enable_snooping = opts_.algorithm == Algorithm::kInnet &&
-                             opts_.features.path_collapse && !opts_.mesh_mode;
-  net_opts.seed = opts_.seed;
-  owned_net_ = std::make_unique<net::Network>(&workload_->topology(), net_opts,
-                                              opts_.data_plane);
-  net_ = owned_net_.get();
-  net_->set_delivery_handler(
-      [this](const Message& m, NodeId at) { OnDeliverMsg(m, at); });
-  net_->set_drop_handler([this](const Message& m, NodeId at, NodeId next) {
-    OnDrop(m, at, next);
-  });
-  net_->set_snoop_handler(
-      [this](const Message& m, NodeId snooper, NodeId from, NodeId to) {
-        OnSnoop(m, snooper, from, to);
-      });
-  const int interval = workload_->join_query().window.sample_interval;
-  if (opts_.knobs.shards > 1 || opts_.knobs.pipeline_depth > 1) {
-    auto sharded = std::make_unique<sim::ShardedScheduler>(
-        net_, interval, opts_.knobs.shards, opts_.knobs.pipeline_depth);
-    scratch_.resize(sharded->num_shards());
-    sched_ = std::move(sharded);
-  } else {
-    sched_ = std::make_unique<sim::CycleScheduler>(net_, interval);
-    scratch_.resize(1);
-  }
-  sched_->Attach(this);
-  reopt_ = adapt::ReoptController(opts_.knobs.reopt_interval,
-                                  opts_.knobs.reopt_threshold);
-  data_pool_ = net_->payloads().GetOrCreate<DataPayload>(kPayloadTagData);
-  result_pool_ =
-      net_->payloads().GetOrCreate<ResultPayload>(kPayloadTagResult);
-  window_pool_ = net_->payloads().GetOrCreate<WindowTransferPayload>(
-      kPayloadTagWindowTransfer);
-}
-
-JoinExecutor::JoinExecutor(const workload::Workload* workload,
-                           ExecutorOptions options,
-                           net::Network* shared_network, int query_id,
-                           int shards)
+                           ExecutorOptions options, SharedMedium* medium,
+                           int query_id)
     : workload_(workload),
       opts_(options),
-      net_(shared_network),
+      medium_(medium),
+      net_(&medium->network()),
       query_id_(query_id) {
-  ASPEN_CHECK(shared_network != nullptr);
-  ASPEN_CHECK(&shared_network->topology() == &workload->topology());
-  ASPEN_CHECK(shards >= 1);
-  // Scratch matches the medium scheduler's shard count (1 = unsharded).
-  scratch_.resize(shards);
+  ASPEN_CHECK(&net_->topology() == &workload->topology());
+  scratch_.resize(medium->scheduler()->num_shards());
   reopt_ = adapt::ReoptController(opts_.knobs.reopt_interval,
                                   opts_.knobs.reopt_threshold);
   data_pool_ = net_->payloads().GetOrCreate<DataPayload>(kPayloadTagData);
@@ -106,13 +58,7 @@ JoinExecutor::JoinExecutor(const workload::Workload* workload,
       kPayloadTagWindowTransfer);
 }
 
-JoinExecutor::~JoinExecutor() {
-  (void)Shutdown();
-  // An owned network holds a raw ParentResolver pointer into the trees;
-  // detach before members destruct in reverse declaration order. A shared
-  // medium owns its own resolver.
-  if (owned_net_ != nullptr) net_->set_parent_resolver(nullptr);
-}
+JoinExecutor::~JoinExecutor() { (void)Shutdown(); }
 
 Status JoinExecutor::Shutdown() {
   if (shutdown_) return Status::OK();
@@ -128,8 +74,7 @@ Status JoinExecutor::Shutdown() {
   // Release every interned-route reference this query holds. The routes
   // themselves are reclaimed by the data plane's epoch-safe sweep
   // (RouteTable::SweepRetired) once nothing references them and no frame
-  // is in flight; owned-network runs never sweep, so their tables behave
-  // as before.
+  // is in flight.
   for (NodeState& node : nodes_) {
     for (SendPlanEntry& e : node.plan) {
       UnrefRoute(e.route_s);
@@ -316,15 +261,14 @@ Status JoinExecutor::Initiate() {
   // Initiation runs before any cycle; nothing is concurrent yet.
   common::SequentialPhaseScope seq;
   // Attribute computed-plane initiation traffic (exploration inside
-  // MultiTree, nominations) to this query on a shared medium.
+  // MultiTree, nominations) to this query.
   net::TrafficStats::QueryScope scope(&net_->stats(), query_id_);
   ASPEN_RETURN_NOT_OK(InitCommon());
   // Cross-query placement sharing: claim identical placed pairs from
   // co-resident queries before the per-algorithm init spends exploration
   // or placement work on them. Naive has no placements to share (its
   // producer roles come from workload statics, not the pair lists).
-  if (medium_ != nullptr &&
-      opts_.knobs.tree_mode == common::TreeMode::kShared &&
+  if (opts_.knobs.tree_mode == common::TreeMode::kShared &&
       opts_.algorithm != Algorithm::kNaive) {
     medium_->ClaimPairs(this);
   }
@@ -353,9 +297,6 @@ Status JoinExecutor::Initiate() {
     reopt_diverged_.reserve(placements_.size());
     planned_migrations_.reserve(placements_.size());
   }
-  // On a shared medium the SharedMedium owns the resolver (all primary
-  // trees are the identical deterministic BFS from the base).
-  if (owned_net_ != nullptr) net_->set_parent_resolver(&primary_tree());
   // Pre-grow the payload slabs to the steady-state in-flight high-water
   // (every producer can have a data message in flight, every pair a result)
   // with their tuple buffers warmed, so the cycle loop's pools never
@@ -1127,31 +1068,6 @@ void JoinExecutor::EmitResults(NodeId at, const PairKey& pair, int count,
 
 // ---- kernel phases --------------------------------------------------------------
 
-Status JoinExecutor::OnSample(int cycle) {
-  if (!initiated_) {
-    return Status::FailedPrecondition("sample phase before Initiate");
-  }
-  // Begin + one full-range stage pass + commit: the sharded schedule with
-  // one shard and one slot, so sharded and sequential runs are the same
-  // code path.
-  OnSampleBegin(cycle);
-  {
-    common::PipelineStageScope stage;
-    OnSampleStage(cycle, /*slot=*/0, /*shard=*/0, 0,
-                  workload_->topology().num_nodes());
-  }
-  return OnSampleCommit(cycle, /*slot=*/0);
-}
-
-Status JoinExecutor::OnDeliver(int cycle) {
-  if (!initiated_) {
-    return Status::FailedPrecondition("deliver phase before Initiate");
-  }
-  OnDeliverBegin(cycle);
-  OnDeliverShard(cycle, /*shard=*/0, 0, workload_->topology().num_nodes());
-  return OnDeliverCommit(cycle);
-}
-
 Status JoinExecutor::OnReoptimize(int cycle) {
   (void)cycle;
   if (!initiated_ || shutdown_) return Status::OK();
@@ -1181,17 +1097,6 @@ Status JoinExecutor::OnLearn(int cycle) {
   if (opts_.learning) RunLearning();
   cycle_ = cycle + 1;
   return Status::OK();
-}
-
-Status JoinExecutor::RunCycles(int n) {
-  if (!initiated_) {
-    return Status::FailedPrecondition("RunCycles before Initiate");
-  }
-  if (owned_net_ == nullptr) {
-    return Status::FailedPrecondition(
-        "RunCycles on a shared medium: drive cycles via SharedMedium");
-  }
-  return sched_->RunCycles(n);
 }
 
 RunStats JoinExecutor::Stats() const {

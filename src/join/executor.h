@@ -2,13 +2,14 @@
 // then drives windowed join execution over the simulated network for any of
 // the paper's algorithms. One executor = one query on one workload.
 //
-// The executor is a sim::CycleParticipant: the shared simulation kernel
-// (sim::CycleScheduler) owns the clock and phase ordering, and the executor
-// supplies the protocol logic for each phase. All node-local state (join
-// windows, counters, multicast trees) lives in a contiguous per-node
-// NodeState table indexed by NodeId; the executor is the single-process
-// embodiment of the distributed protocol, with every message the protocol
-// would send charged through the network simulator.
+// Every executor is hosted on a join::SharedMedium, alone (core::
+// RunExperiment) or beside other queries. It is a sim::CycleParticipant:
+// the medium's sim::CycleScheduler owns the clock and phase ordering, and
+// the executor supplies the protocol logic for each phase. All node-local
+// state (join windows, counters, multicast trees) lives in a contiguous
+// per-node NodeState table indexed by NodeId; the executor is the
+// single-process embodiment of the distributed protocol, with every message
+// the protocol would send charged through the network simulator.
 
 #ifndef ASPEN_JOIN_EXECUTOR_H_
 #define ASPEN_JOIN_EXECUTOR_H_
@@ -46,25 +47,12 @@ class SharedMedium;
 /// sim::ShardPhaseParticipant): sampling stages pure per-node work into
 /// per-shard scratch and commits the submissions in node order; delivery
 /// probes each shard's own join sites concurrently and replays deferred
-/// result emissions in canonical (side, producer, arrival, pair) order.
-/// The plain OnSample/OnDeliver hooks are exactly Begin + one full-range
-/// shard pass + Commit, so sharded and sequential runs are byte-identical.
+/// result emissions in canonical (side, producer, arrival, pair) order, so
+/// runs are byte-identical for every shard count. Executors are built only
+/// by SharedMedium::TryAddQuery, so every one is attached to a medium.
 class JoinExecutor : public sim::CycleParticipant,
                      public sim::ShardPhaseParticipant {
  public:
-  /// `workload` must outlive the executor. Owns its own network and cycle
-  /// scheduler.
-  JoinExecutor(const workload::Workload* workload, ExecutorOptions options);
-
-  /// \brief Attaches to a shared radio medium (see SharedMedium) instead of
-  /// owning a network: messages are stamped with `query_id` and the medium
-  /// dispatches deliveries back. The medium's scheduler drives the cycle
-  /// phases; RunCycles is unavailable on attached executors. `shards` is
-  /// the medium scheduler's shard count (the executor sizes its per-shard
-  /// scratch to match; 1 = unsharded).
-  JoinExecutor(const workload::Workload* workload, ExecutorOptions options,
-               net::Network* shared_network, int query_id, int shards = 1);
-
   ~JoinExecutor() override;
 
   JoinExecutor(const JoinExecutor&) = delete;
@@ -72,13 +60,8 @@ class JoinExecutor : public sim::CycleParticipant,
 
   /// \brief Runs initiation: routing substrate construction, exploration,
   /// cost-based placement, group optimization, multicast setup. Must be
-  /// called exactly once before RunCycles.
+  /// called exactly once before the medium runs a cycle.
   Status Initiate();
-
-  /// \brief Executes `n` sampling cycles (each = window.sample_interval
-  /// transmission cycles) on the owned scheduler. May be called repeatedly
-  /// to continue a run. Only valid on executors that own their network.
-  Status RunCycles(int n);
 
   /// \brief Tears the query down: drops buffered arrival payload
   /// references, flushes join windows and failover buffers, and releases
@@ -96,10 +79,6 @@ class JoinExecutor : public sim::CycleParticipant,
 
   net::Network& network() { return *net_; }
   const net::Network& network() const { return *net_; }
-  /// The owned cycle scheduler driving RunCycles (nullptr on
-  /// medium-attached executors — attach scenario drivers to the medium's
-  /// scheduler instead).
-  sim::CycleScheduler* scheduler() { return sched_.get(); }
   int current_cycle() const { return cycle_; }
   uint64_t results() const { return results_; }
   uint64_t migrations() const { return migrations_; }
@@ -158,6 +137,12 @@ class JoinExecutor : public sim::CycleParticipant,
   }
 
  private:
+  /// Messages are stamped with `query_id` and `medium` dispatches
+  /// deliveries back; its scheduler drives the cycle phases. `workload`
+  /// must outlive the executor.
+  JoinExecutor(const workload::Workload* workload, ExecutorOptions options,
+               SharedMedium* medium, int query_id);
+
   /// One buffered data arrival: the pooled payload `data` delivered at node
   /// `at` (the executor holds a payload reference until the deliver phase).
   /// Mailboxes are keyed by producer so the deliver phase applies arrivals
@@ -168,15 +153,13 @@ class JoinExecutor : public sim::CycleParticipant,
   };
 
   // -- kernel phases (sim::CycleParticipant) ---------------------------------
-  Status OnSample(int cycle) override;
-  Status OnDeliver(int cycle) override;
   Status OnReoptimize(int cycle) override;
   Status OnLearn(int cycle) override;
   sim::ShardPhaseParticipant* sharded() override { return this; }
 
   // -- sharded phase split (sim::ShardPhaseParticipant) ----------------------
   void ConfigureSampleSlots(int slots) override;
-  bool SampleStageReady() const override { return initiated_ && !shutdown_; }
+  bool Ready() const override { return initiated_ && !shutdown_; }
   void OnSampleBegin(int cycle) override;
   /// The pure sample stage: batched filters + sampling of the shard's
   /// producers into the (shard, slot) slab. Reads only the workload (warm)
@@ -367,15 +350,10 @@ class JoinExecutor : public sim::CycleParticipant,
 
   const workload::Workload* workload_;
   ExecutorOptions opts_;
-  std::unique_ptr<net::Network> owned_net_;
-  net::Network* net_ = nullptr;
-  /// Drives owned-network runs; attached executors are driven by the
-  /// medium's scheduler instead.
-  std::unique_ptr<sim::CycleScheduler> sched_;
-  int query_id_ = 0;
-  /// The hosting medium when attached (placement-sharing fan-out hook);
-  /// nullptr for owned-network executors.
-  SharedMedium* medium_ = nullptr;
+  /// The hosting medium (placement-sharing hooks) and its network.
+  SharedMedium* medium_;
+  net::Network* net_;
+  int query_id_;
   /// Number of placements with shared_entry >= 0 — gates the fan-out
   /// lookup in DeliverResultAtBase so unshared queries pay nothing.
   int num_fanout_pairs_ = 0;

@@ -7,20 +7,56 @@
 
 #include "common/logging.h"
 #include "query/parser.h"
-#include "sim/sharded_scheduler.h"
 
 namespace aspen {
 namespace join {
+
+Status ValidateOptions(const ExecutorOptions& options,
+                       const MediumOptions& medium) {
+  auto at_least_one = [](int value, const char* name) {
+    return value >= 1 ? Status::OK()
+                      : Status::InvalidArgument(
+                            std::string(name) + " must be at least 1, got " +
+                            std::to_string(value));
+  };
+  ASPEN_RETURN_NOT_OK(
+      at_least_one(options.reestimate_interval, "reestimate_interval"));
+  ASPEN_RETURN_NOT_OK(
+      at_least_one(options.counter_reset_interval, "counter_reset_interval"));
+  ASPEN_RETURN_NOT_OK(at_least_one(options.num_trees, "num_trees"));
+  return at_least_one(medium.knobs.sample_interval, "sample_interval");
+}
+
+net::NetworkOptions NetworkOptionsFor(const ExecutorOptions& options) {
+  const bool innet = options.algorithm == Algorithm::kInnet;
+  net::NetworkOptions net;
+  net.loss_prob = options.loss_prob;
+  net.max_retries = options.max_retries;
+  net.enable_merging = innet && options.features.combining;
+  net.enable_snooping =
+      innet && options.features.path_collapse && !options.mesh_mode;
+  net.seed = options.seed;
+  return net;
+}
+
+MediumOptions SoloMediumOptions(const workload::Workload& workload,
+                                const ExecutorOptions& options) {
+  MediumOptions medium;
+  medium.knobs = options.knobs;
+  medium.knobs.sample_interval = workload.join_query().window.sample_interval;
+  return medium;
+}
 
 SharedMedium::SharedMedium(const net::Topology* topology,
                            net::NetworkOptions options,
                            MediumOptions medium_options)
     : topology_(topology),
-      net_(topology, options),
+      net_(topology, options, medium_options.data_plane),
       primary_(routing::RoutingTree::Build(*topology, 0)),
-      medium_opts_(medium_options) {
-  ASPEN_CHECK(medium_opts_.knobs.sample_interval > 0);
-  ASPEN_CHECK(medium_opts_.knobs.shards >= 1);
+      medium_opts_(medium_options),
+      sched_(&net_, medium_options.knobs.sample_interval,
+             medium_options.knobs.shards,
+             medium_options.knobs.pipeline_depth) {
   net_.set_parent_resolver(&primary_);
   // Dispatch by the dense executor table. A frame of a departed query (its
   // slot is null) terminates silently — the network still releases its
@@ -40,18 +76,9 @@ SharedMedium::SharedMedium(const net::Topology* topology,
     JoinExecutor* e = FindExecutor(m.query_id);
     if (e != nullptr) e->OnSnoop(m, snooper, from, to);
   });
-  // Eager scheduler: scenario drivers can attach before the first query.
-  if (medium_opts_.knobs.shards > 1 || medium_opts_.knobs.pipeline_depth > 1) {
-    sched_ = std::make_unique<sim::ShardedScheduler>(
-        &net_, medium_opts_.knobs.sample_interval, medium_opts_.knobs.shards,
-        medium_opts_.knobs.pipeline_depth);
-  } else {
-    sched_ = std::make_unique<sim::CycleScheduler>(
-        &net_, medium_opts_.knobs.sample_interval);
-  }
   // The medium participates in its own scheduler (ahead of every query) to
   // sweep retired routes at epoch boundaries; see OnDeliver.
-  sched_->Attach(this);
+  sched_.Attach(this);
   executors_.resize(1);  // slot 0 unused: query ids start at 1
   admitted_cycle_.resize(1, 0);
 }
@@ -110,22 +137,22 @@ Result<JoinExecutor*> SharedMedium::TryAddQuery(
         "TryAddQuery: workload is over a different topology than the medium");
   }
   const int interval = workload->join_query().window.sample_interval;
-  if (sched_->sample_interval() != interval) {
+  if (sched_.sample_interval() != interval) {
     return Status::InvalidArgument(
         "TryAddQuery: sample_interval " + std::to_string(interval) +
         " mismatches the medium's scheduler (" +
-        std::to_string(sched_->sample_interval()) +
+        std::to_string(sched_.sample_interval()) +
         ", fixed by MediumOptions at construction); all queries on one "
         "medium share the sampling clock");
   }
+  ASPEN_RETURN_NOT_OK(ValidateOptions(options, medium_opts_));
   const int id = AcquireQueryId();
-  auto exec = std::make_unique<JoinExecutor>(workload, options, &net_, id,
-                                             medium_opts_.knobs.shards);
+  std::unique_ptr<JoinExecutor> exec(
+      new JoinExecutor(workload, options, this, id));
   JoinExecutor* out = exec.get();
-  out->medium_ = this;  // placement-sharing hooks (tree_mode == kShared)
-  sched_->Attach(out);
+  sched_.Attach(out);
   executors_[id] = std::move(exec);
-  admitted_cycle_[id] = sched_->cycle();
+  admitted_cycle_[id] = sched_.cycle();
   ++live_queries_;
   ++total_admitted_;
   return out;
@@ -170,7 +197,7 @@ Status SharedMedium::RemoveQuery(int query_id) {
     QueryRecord rec;
     rec.query_id = query_id;
     rec.admitted_cycle = admitted_cycle_[query_id];
-    rec.removed_cycle = sched_->cycle();
+    rec.removed_cycle = sched_.cycle();
     rec.stats = exec->Stats();
     ledger_.push_back(std::move(rec));
   }
@@ -180,7 +207,7 @@ Status SharedMedium::RemoveQuery(int query_id) {
   // opens, and nothing is lost.
   DetachShared(query_id);
   ASPEN_RETURN_NOT_OK(exec->Shutdown());
-  sched_->Detach(exec);
+  sched_.Detach(exec);
   executors_[query_id].reset();
   // A workload the medium built for this query (QuerySpec admission) dies
   // with it — after the executor, which borrowed it.
@@ -202,8 +229,6 @@ Status SharedMedium::InitiateAll() {
     if (exec == nullptr || exec->initiated()) continue;
     ASPEN_RETURN_NOT_OK(exec->Initiate());
   }
-  // Executors must not leave a dangling resolver behind.
-  net_.set_parent_resolver(&primary_);
   return Status::OK();
 }
 
@@ -211,7 +236,7 @@ Status SharedMedium::RunCycles(int n) {
   if (live_queries_ == 0 && !medium_opts_.allow_idle) {
     return Status::FailedPrecondition("SharedMedium has no queries");
   }
-  return sched_->RunCycles(n);
+  return sched_.RunCycles(n);
 }
 
 // ---- cross-query placement sharing ---------------------------------------------
@@ -376,7 +401,7 @@ void SharedMedium::DetachShared(int query_id) {
       // before this point was computed while the pair was still
       // suppressed; drop it so the affected cycles re-stage and the
       // promotion stays byte-identical at every pipeline depth.
-      sched_->InvalidateStaged(np);
+      sched_.InvalidateStaged(np);
       se.owner = promote;
       if (!se.subscribers.empty()) {
         JoinExecutor::PairPlacement* npl = np->MutablePlacement(se.pair);
@@ -413,11 +438,6 @@ void SharedMedium::DetachShared(int query_id) {
   }
 }
 
-Status SharedMedium::OnSample(int cycle) {
-  (void)cycle;
-  return Status::OK();
-}
-
 Status SharedMedium::OnDeliver(int cycle) {
   (void)cycle;
   // The medium's deliver hook runs on the scheduler thread.
@@ -428,11 +448,6 @@ Status SharedMedium::OnDeliver(int cycle) {
   // (Under loss the transmit window may end with stragglers; the sweep
   // simply waits for a later quiet observation.)
   if (!net_.HasTrafficInFlight()) net_.routes().SweepRetired();
-  return Status::OK();
-}
-
-Status SharedMedium::OnLearn(int cycle) {
-  (void)cycle;
   return Status::OK();
 }
 

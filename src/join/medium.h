@@ -1,5 +1,6 @@
-// Shared radio medium for multiple concurrent queries — a long-running
-// query *service*, not a batch harness.
+// Shared radio medium for concurrent queries — the one way an executor is
+// hosted, whether as a long-running query *service* or as the one-query
+// medium core::RunExperiment builds for a batch run.
 //
 // The paper's introduction motivates minimizing resource consumption
 // "in case of multiple concurrent queries". SharedMedium owns one Network
@@ -54,17 +55,41 @@ struct MediumOptions {
   /// Run-shape knobs (common/run_knobs.h), shared with ExecutorOptions and
   /// core::ServiceOptions. `knobs.sample_interval` is the medium's one
   /// sampling clock (every admitted query's window.sample_interval must
-  /// equal it); `knobs.shards` > 1 or `knobs.pipeline_depth` > 1 host the
-  /// executors on a sim::ShardedScheduler (worker-parallel phases,
-  /// cross-cycle sample pipelining) with byte-identical results for every
-  /// value. The medium itself ignores `knobs.reopt_*` — continuous
-  /// re-optimization is per query (ExecutorOptions::knobs).
+  /// equal it); `knobs.shards` and `knobs.pipeline_depth` configure the
+  /// scheduler's worker-parallel phases and cross-cycle sample pipelining,
+  /// with byte-identical results for every value. The medium itself
+  /// ignores `knobs.reopt_*` — continuous re-optimization is per query
+  /// (ExecutorOptions::knobs).
   common::RunKnobs knobs;
   /// Permit RunCycles with zero live queries. A service run idles between
   /// arrivals (scenario drivers still tick); the batch default keeps the
   /// historical no-queries error.
   bool allow_idle = false;
+  /// Optional borrowed data-plane arena (route table + payload pools) for
+  /// the medium's network. Not owned; must outlive the medium. When null
+  /// the network owns a private plane. core::RunAveraged lends each worker
+  /// thread's plane to its repetitions so warmed-up capacity is reused.
+  net::DataPlane* data_plane = nullptr;
 };
+
+/// \brief Rejects knob values no run can execute, as InvalidArgument:
+/// learning intervals, the routing substrate width or the sampling clock
+/// below 1. Shard count and pipeline depth are clamped by the scheduler,
+/// never rejected. Called by TryAddQuery and by the front doors that build
+/// a medium (core::RunExperiment, core::ServiceRunner::Create).
+Status ValidateOptions(const ExecutorOptions& options,
+                       const MediumOptions& medium);
+
+/// The network options one query's configuration implies: its radio (loss,
+/// retries, seed), packet merging for Innet combining, and snooping for
+/// path collapsing on motes.
+net::NetworkOptions NetworkOptionsFor(const ExecutorOptions& options);
+
+/// The medium options that host `workload` alone with `options`' run-shape
+/// knobs on the workload's own sampling clock — the medium
+/// core::RunExperiment builds.
+MediumOptions SoloMediumOptions(const workload::Workload& workload,
+                                const ExecutorOptions& options);
 
 /// \brief One network shared by several concurrently-executing queries,
 /// with dynamic admission and teardown.
@@ -125,7 +150,7 @@ class SharedMedium : private sim::CycleParticipant {
 
   /// The shared cycle scheduler (never null; constructed with the medium);
   /// scenario drivers attach here with AttachFront.
-  sim::CycleScheduler* scheduler() { return sched_.get(); }
+  sim::CycleScheduler* scheduler() { return &sched_; }
 
   /// \brief Initiates every registered query not yet initiated (in query-id
   /// order; their initiation traffic accumulates on the shared stats).
@@ -186,9 +211,7 @@ class SharedMedium : private sim::CycleParticipant {
   friend class JoinExecutor;
 
   // -- scheduler participation (route GC at epoch boundaries) ---------------
-  Status OnSample(int cycle) override;
   Status OnDeliver(int cycle) override;
-  Status OnLearn(int cycle) override;
 
   /// Smallest recyclable id with no in-flight frames, else a fresh one.
   int AcquireQueryId();
@@ -237,10 +260,13 @@ class SharedMedium : private sim::CycleParticipant {
   std::vector<SharedEntry> shared_entries_;
   std::vector<int32_t> free_shared_entries_;
   std::vector<std::pair<uint64_t, int32_t>> shared_index_;
-  std::unique_ptr<sim::CycleScheduler> sched_;
   int live_queries_ = 0;
   int total_admitted_ = 0;
   int next_query_id_ = 1;
+  /// Declared last: built after the network it drives, and destroyed
+  /// first, joining any in-flight stage work while every executor is
+  /// still alive.
+  sim::CycleScheduler sched_;
 };
 
 }  // namespace join

@@ -13,10 +13,6 @@
 #include "workload/selectivity.h"
 
 namespace aspen {
-namespace net {
-class DataPlane;
-}  // namespace net
-
 namespace join {
 
 /// \brief The join algorithm classes of Section 2.2.
@@ -87,24 +83,15 @@ struct ExecutorOptions {
   int max_retries = 3;
 
   /// Run-shape knobs shared with MediumOptions / core::ServiceOptions
-  /// (common/run_knobs.h). `knobs.shards` partitions an owned run across
-  /// worker-driven node ranges and `knobs.pipeline_depth` overlaps future
-  /// cycles' sample stages — both byte-identical for every value.
-  /// Medium-attached executors shard/pipeline with the medium's scheduler
-  /// (join::MediumOptions::knobs) and ignore those two fields here, but
-  /// keep their own `knobs.reopt_interval` / `knobs.reopt_threshold`: the
-  /// continuous re-optimization loop is per query.
+  /// (common/run_knobs.h). The continuous re-optimization loop is per
+  /// query, so every executor reads its own `knobs.reopt_interval` /
+  /// `knobs.reopt_threshold` / `knobs.tree_mode`. Sharding, pipelining and
+  /// the sampling clock belong to the hosting medium's scheduler
+  /// (join::MediumOptions::knobs); core::RunExperiment copies them from
+  /// here into the one-query medium it runs.
   common::RunKnobs knobs;
 
   uint64_t seed = 1;
-
-  /// Optional borrowed data-plane arena (route table + payload pools) for
-  /// executors that own their network. Not owned; must outlive the
-  /// executor. When null the network owns a private plane.
-  /// core::RunExperiment supplies one per run so core::RunAveraged can
-  /// reuse warmed-up capacity across repetitions. Ignored by
-  /// medium-attached executors (the medium's network owns the plane).
-  net::DataPlane* data_plane = nullptr;
 };
 
 /// \brief Metrics of one executed run (the paper's evaluation quantities).
@@ -119,9 +106,9 @@ struct RunStats {
   uint64_t max_node_messages = 0;
   uint64_t initiation_bytes = 0;
   uint64_t computation_bytes = 0;
-  /// Traffic attributable to this query alone. Equals total_bytes /
-  /// total_messages on an owned network; on a shared medium it isolates
-  /// this query's share of the medium-wide counters.
+  /// Traffic attributable to this query alone: its share of the
+  /// medium-wide counters (equal to total_bytes / total_messages when the
+  /// query runs alone).
   uint64_t query_bytes = 0;
   uint64_t query_messages = 0;
   std::vector<uint64_t> top_node_loads;  ///< 15 most-loaded nodes (Fig 5)

@@ -25,8 +25,7 @@
 //
 // Re-interning content that is retired but not yet swept resurrects the
 // existing id (the dedup entry survives until the sweep actually frees it).
-// Tables whose owner never sweeps — single-query executors on an owned
-// network — behave exactly like the historical append-only table.
+// A table that is never swept behaves exactly like an append-only table.
 
 #ifndef ASPEN_NET_ROUTE_TABLE_H_
 #define ASPEN_NET_ROUTE_TABLE_H_

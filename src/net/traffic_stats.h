@@ -150,8 +150,8 @@ class TrafficStats {
   uint64_t MaxNodeBytes() const;
   uint64_t MaxNodeMessages() const;
 
-  /// Bytes (resp. messages) transmitted on behalf of one query. On an
-  /// owned single-query network everything is query 0.
+  /// Bytes (resp. messages) transmitted on behalf of one query (a medium's
+  /// query ids start at 1).
   uint64_t QueryBytesSent(int query_id) const {
     return static_cast<size_t>(query_id) < per_query_.size()
                ? per_query_[query_id].bytes_sent

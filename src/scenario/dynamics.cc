@@ -378,15 +378,5 @@ Status ScenarioDriver::OnSample(int cycle) {
   return Status::OK();
 }
 
-Status ScenarioDriver::OnDeliver(int cycle) {
-  (void)cycle;
-  return Status::OK();
-}
-
-Status ScenarioDriver::OnLearn(int cycle) {
-  (void)cycle;
-  return Status::OK();
-}
-
 }  // namespace scenario
 }  // namespace aspen

@@ -208,8 +208,6 @@ class ScenarioDriver : public sim::CycleParticipant {
 
   /// Applies every event due at `cycle`, plus active drifts/expiries.
   Status OnSample(int cycle) override;
-  Status OnDeliver(int cycle) override;
-  Status OnLearn(int cycle) override;
 
   // Applied-mutation counters, for tests and scenario reports.
   int failures_applied() const { return failures_applied_; }

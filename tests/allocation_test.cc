@@ -16,6 +16,7 @@
 #include "join/executor.h"
 #include "join/medium.h"
 #include "net/topology.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
@@ -24,12 +25,12 @@ namespace {
 using workload::SelectivityParams;
 using workload::Workload;
 
-uint64_t CountCycleAllocs(join::JoinExecutor* exec, int warmup_cycles,
+uint64_t CountCycleAllocs(testing_util::SoloQuery* solo, int warmup_cycles,
                           int measured_cycles) {
-  EXPECT_TRUE(exec->RunCycles(warmup_cycles).ok());
+  EXPECT_TRUE(solo->RunCycles(warmup_cycles).ok());
   allocaudit::ResetCount();
   allocaudit::SetCounting(true);
-  Status st = exec->RunCycles(measured_cycles);
+  Status st = solo->RunCycles(measured_cycles);
   allocaudit::SetCounting(false);
   EXPECT_TRUE(st.ok());
   return allocaudit::Count();
@@ -42,9 +43,9 @@ TEST(SteadyStateAllocationTest, InnetCyclesAllocateNothing) {
   join::ExecutorOptions opts;
   opts.algorithm = join::Algorithm::kInnet;
   opts.assumed = sel;
-  join::JoinExecutor exec(&wl, opts);
-  ASSERT_TRUE(exec.Initiate().ok());
-  EXPECT_EQ(CountCycleAllocs(&exec, /*warmup_cycles=*/60,
+  testing_util::SoloQuery solo(&wl, opts);
+  ASSERT_TRUE(solo.exec.Initiate().ok());
+  EXPECT_EQ(CountCycleAllocs(&solo, /*warmup_cycles=*/60,
                              /*measured_cycles=*/40),
             0u);
 }
@@ -57,9 +58,9 @@ TEST(SteadyStateAllocationTest, InnetMulticastMergingCyclesAllocateNothing) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cm();  // combining + multicast trees
   opts.assumed = sel;
-  join::JoinExecutor exec(&wl, opts);
-  ASSERT_TRUE(exec.Initiate().ok());
-  EXPECT_EQ(CountCycleAllocs(&exec, /*warmup_cycles=*/60,
+  testing_util::SoloQuery solo(&wl, opts);
+  ASSERT_TRUE(solo.exec.Initiate().ok());
+  EXPECT_EQ(CountCycleAllocs(&solo, /*warmup_cycles=*/60,
                              /*measured_cycles=*/40),
             0u);
 }
@@ -73,9 +74,9 @@ TEST(SteadyStateAllocationTest, LossyRadioCyclesAllocateNothing) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.assumed = sel;
   opts.loss_prob = 0.1;
-  join::JoinExecutor exec(&wl, opts);
-  ASSERT_TRUE(exec.Initiate().ok());
-  EXPECT_EQ(CountCycleAllocs(&exec, /*warmup_cycles=*/80,
+  testing_util::SoloQuery solo(&wl, opts);
+  ASSERT_TRUE(solo.exec.Initiate().ok());
+  EXPECT_EQ(CountCycleAllocs(&solo, /*warmup_cycles=*/80,
                              /*measured_cycles=*/40),
             0u);
 }
@@ -89,14 +90,14 @@ TEST(SteadyStateAllocationTest, PoolsAreReusedNotGrown) {
   join::ExecutorOptions opts;
   opts.algorithm = join::Algorithm::kInnet;
   opts.assumed = sel;
-  join::JoinExecutor exec(&wl, opts);
-  ASSERT_TRUE(exec.Initiate().ok());
-  ASSERT_TRUE(exec.RunCycles(60).ok());
-  auto& pool = *exec.network().payloads().GetOrCreate<join::DataPayload>(
+  testing_util::SoloQuery solo(&wl, opts);
+  ASSERT_TRUE(solo.exec.Initiate().ok());
+  ASSERT_TRUE(solo.RunCycles(60).ok());
+  auto& pool = *solo.medium.network().payloads().GetOrCreate<join::DataPayload>(
       join::kPayloadTagData);
   const size_t warm_capacity = pool.capacity();
   ASSERT_GT(warm_capacity, 0u);
-  ASSERT_TRUE(exec.RunCycles(40).ok());
+  ASSERT_TRUE(solo.RunCycles(40).ok());
   EXPECT_EQ(pool.capacity(), warm_capacity);
   // Between cycles nothing is in flight: every payload went back to the
   // free list.
@@ -123,9 +124,9 @@ TEST(SteadyStateAllocationTest, ShardedCyclesAllocateNothing) {
   opts.features = join::InnetFeatures::Cm();
   opts.assumed = sel;
   opts.knobs.shards = 4;
-  join::JoinExecutor exec(&wl, opts);
-  ASSERT_TRUE(exec.Initiate().ok());
-  EXPECT_LE(CountCycleAllocs(&exec, /*warmup_cycles=*/60,
+  testing_util::SoloQuery solo(&wl, opts);
+  ASSERT_TRUE(solo.exec.Initiate().ok());
+  EXPECT_LE(CountCycleAllocs(&solo, /*warmup_cycles=*/60,
                              /*measured_cycles=*/200),
             4u);  // == knobs.shards
 }
@@ -139,9 +140,9 @@ TEST(SteadyStateAllocationTest, ShardedLossyCyclesAllocateNothing) {
   opts.assumed = sel;
   opts.loss_prob = 0.1;
   opts.knobs.shards = 3;
-  join::JoinExecutor exec(&wl, opts);
-  ASSERT_TRUE(exec.Initiate().ok());
-  EXPECT_LE(CountCycleAllocs(&exec, /*warmup_cycles=*/80,
+  testing_util::SoloQuery solo(&wl, opts);
+  ASSERT_TRUE(solo.exec.Initiate().ok());
+  EXPECT_LE(CountCycleAllocs(&solo, /*warmup_cycles=*/80,
                              /*measured_cycles=*/200),
             3u);  // == knobs.shards
 }

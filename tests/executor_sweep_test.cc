@@ -8,6 +8,7 @@
 #include "join/executor.h"
 #include "net/topology.h"
 #include "tests/reference_join.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
@@ -78,12 +79,13 @@ TEST(TrafficInvariantTest, TrafficGrowsMonotonicallyWithCycles) {
   opts.algorithm = Algorithm::kInnet;
   opts.features = InnetFeatures::Cmg();
   opts.assumed = sel;
-  JoinExecutor exec(&*wl, opts);
+  testing_util::SoloQuery solo(&*wl, opts);
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   uint64_t prev = exec.network().stats().TotalBytesSent();
   uint64_t prev_results = 0;
   for (int chunk = 0; chunk < 5; ++chunk) {
-    ASSERT_TRUE(exec.RunCycles(10).ok());
+    ASSERT_TRUE(solo.RunCycles(10).ok());
     uint64_t now = exec.network().stats().TotalBytesSent();
     EXPECT_GT(now, prev);
     EXPECT_GE(exec.results(), prev_results);
@@ -101,9 +103,10 @@ TEST(TrafficInvariantTest, PerKindBytesSumToTotal) {
   ExecutorOptions opts;
   opts.algorithm = Algorithm::kInnet;
   opts.assumed = sel;
-  JoinExecutor exec(&*wl, opts);
+  testing_util::SoloQuery solo(&*wl, opts);
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
-  ASSERT_TRUE(exec.RunCycles(20).ok());
+  ASSERT_TRUE(solo.RunCycles(20).ok());
   const auto& stats = exec.network().stats();
   uint64_t by_kind = 0;
   for (int k = 0; k < static_cast<int>(net::MessageKind::kNumKinds); ++k) {
@@ -125,9 +128,10 @@ TEST(TrafficInvariantTest, SentEqualsReceivedPlusLosses) {
   ExecutorOptions opts;
   opts.algorithm = Algorithm::kBase;
   opts.assumed = sel;
-  JoinExecutor exec(&*wl, opts);
+  testing_util::SoloQuery solo(&*wl, opts);
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
-  ASSERT_TRUE(exec.RunCycles(20).ok());
+  ASSERT_TRUE(solo.RunCycles(20).ok());
   const auto& stats = exec.network().stats();
   uint64_t sent = 0, received = 0;
   for (net::NodeId u = 0; u < topo->num_nodes(); ++u) {

@@ -6,12 +6,14 @@
 #include "join/executor.h"
 #include "net/topology.h"
 #include "tests/reference_join.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
 namespace join {
 namespace {
 
+using testing_util::SoloQuery;
 using workload::SelectivityParams;
 using workload::Workload;
 
@@ -110,30 +112,19 @@ TEST(TimeWindowTest, ExecutorMatchesReferenceWithTimeWindows) {
 
 // ---- lifecycle ---------------------------------------------------------------
 
-TEST(ExecutorTest, RequiresInitiateBeforeRun) {
-  net::Topology topo = Topo();
-  auto wl = Workload::MakeQuery1(&topo, {0.5, 0.5, 0.2}, 3, 7);
-  ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kNaive));
-  EXPECT_FALSE(exec.RunCycles(1).ok());
-  ASSERT_TRUE(exec.Initiate().ok());
-  EXPECT_FALSE(exec.Initiate().ok());  // twice is a bug
-  EXPECT_TRUE(exec.RunCycles(1).ok());
-}
-
 TEST(ExecutorTest, RunCyclesIsResumable) {
   net::Topology topo = Topo();
   SelectivityParams sel{0.5, 0.5, 0.2};
   auto wl = Workload::MakeQuery1(&topo, sel, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor split(&*wl, Opts(Algorithm::kBase));
-  ASSERT_TRUE(split.Initiate().ok());
+  SoloQuery split(&*wl, Opts(Algorithm::kBase));
+  ASSERT_TRUE(split.exec.Initiate().ok());
   ASSERT_TRUE(split.RunCycles(20).ok());
   ASSERT_TRUE(split.RunCycles(20).ok());
   auto whole = core::RunExperiment(*wl, Opts(Algorithm::kBase), 40);
   ASSERT_TRUE(whole.ok());
-  EXPECT_EQ(split.results(), whole->results);
-  EXPECT_EQ(split.current_cycle(), 40);
+  EXPECT_EQ(split.exec.results(), whole->results);
+  EXPECT_EQ(split.exec.current_cycle(), 40);
 }
 
 // ---- placement properties -----------------------------------------------------
@@ -145,7 +136,8 @@ TEST(ExecutorTest, InnetPlacementNeverCostsMoreThanBase) {
   SelectivityParams sel{0.5, 0.5, 0.2};
   auto wl = Workload::MakeQuery1(&topo, sel, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   routing::RoutingTree tree = routing::RoutingTree::Build(topo, 0);
   opt::PairCostInputs cost{sel.sigma_s, sel.sigma_t, sel.sigma_st, 3};
@@ -168,7 +160,8 @@ TEST(ExecutorTest, InnetJoinNodeLiesOnPath) {
   SelectivityParams sel{0.2, 0.2, 0.2};
   auto wl = Workload::MakeQuery0(&topo, sel, 10, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   for (const auto& pl : exec.placements()) {
     ASSERT_FALSE(pl.path.empty());
@@ -190,7 +183,8 @@ TEST(ExecutorTest, LowJoinSelectivityPushesJoinsInNetwork) {
   SelectivityParams sel{1.0, 1.0, 0.05};
   auto wl = Workload::MakeQuery0(&topo, sel, 10, 1, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   int in_network = 0;
   for (const auto& pl : exec.placements()) {
@@ -290,9 +284,10 @@ TEST(LearningTest, WrongEstimatesTriggerMigrations) {
   ExecutorOptions opts = Opts(Algorithm::kInnet, {}, wrong);
   opts.learning = true;
   opts.reestimate_interval = 10;
-  JoinExecutor exec(&*wl, opts);
+  SoloQuery solo(&*wl, opts);
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
-  ASSERT_TRUE(exec.RunCycles(100).ok());
+  ASSERT_TRUE(solo.RunCycles(100).ok());
   EXPECT_GT(exec.migrations(), 0u);
 }
 
@@ -321,9 +316,10 @@ TEST(LearningTest, CorrectEstimatesStayPut) {
   ExecutorOptions opts = Opts(Algorithm::kInnet, {}, truth);
   opts.learning = true;
   opts.reestimate_interval = 20;
-  JoinExecutor exec(&*wl, opts);
+  SoloQuery solo(&*wl, opts);
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
-  ASSERT_TRUE(exec.RunCycles(120).ok());
+  ASSERT_TRUE(solo.RunCycles(120).ok());
   // Estimator noise may cause an occasional move, but placements computed
   // from the true values should be largely stable.
   EXPECT_LE(exec.migrations(), exec.pairs().size());
@@ -336,7 +332,8 @@ TEST(FailureTest, JoinNodeDeathFailsOverToBase) {
   SelectivityParams sel{1.0, 1.0, 0.2};
   auto wl = Workload::MakeQuery0(&topo, sel, 6, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   // Find an in-network join node to kill.
   net::NodeId victim = -1;
@@ -347,10 +344,10 @@ TEST(FailureTest, JoinNodeDeathFailsOverToBase) {
     }
   }
   ASSERT_GE(victim, 0) << "no in-network placement to fail";
-  ASSERT_TRUE(exec.RunCycles(20).ok());
+  ASSERT_TRUE(solo.RunCycles(20).ok());
   uint64_t before = exec.results();
   exec.FailNode(victim);
-  ASSERT_TRUE(exec.RunCycles(40).ok());
+  ASSERT_TRUE(solo.RunCycles(40).ok());
   // The affected pairs switched to the base and keep producing.
   bool failed_over = false;
   for (const auto& pl : exec.placements()) {
@@ -372,14 +369,14 @@ TEST(FailureTest, ResultsKeepFlowingAfterFailure) {
   SelectivityParams sel{1.0, 1.0, 0.2};
   auto wl1 = *Workload::MakeQuery0(&topo, sel, 6, 3, 7);
   auto wl2 = *Workload::MakeQuery0(&topo, sel, 6, 3, 7);
-  JoinExecutor healthy(&wl1, Opts(Algorithm::kInnet, {}, sel));
-  ASSERT_TRUE(healthy.Initiate().ok());
-  ASSERT_TRUE(healthy.RunCycles(100).ok());
+  auto healthy = core::RunExperiment(wl1, Opts(Algorithm::kInnet, {}, sel),
+                                     100);
+  ASSERT_TRUE(healthy.ok());
 
-  JoinExecutor faulty(&wl2, Opts(Algorithm::kInnet, {}, sel));
-  ASSERT_TRUE(faulty.Initiate().ok());
+  SoloQuery faulty(&wl2, Opts(Algorithm::kInnet, {}, sel));
+  ASSERT_TRUE(faulty.exec.Initiate().ok());
   net::NodeId victim = -1;
-  for (const auto& pl : faulty.placements()) {
+  for (const auto& pl : faulty.exec.placements()) {
     if (!pl.at_base && pl.join_node != pl.pair.s && pl.join_node != pl.pair.t) {
       victim = pl.join_node;
       break;
@@ -387,9 +384,9 @@ TEST(FailureTest, ResultsKeepFlowingAfterFailure) {
   }
   ASSERT_GE(victim, 0);
   ASSERT_TRUE(faulty.RunCycles(50).ok());
-  faulty.FailNode(victim);
+  faulty.exec.FailNode(victim);
   ASSERT_TRUE(faulty.RunCycles(50).ok());
-  EXPECT_GT(faulty.results(), healthy.results() * 7 / 10);
+  EXPECT_GT(faulty.exec.results(), healthy->results * 7 / 10);
 }
 
 }  // namespace

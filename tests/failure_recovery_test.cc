@@ -18,12 +18,14 @@
 #include "net/network.h"
 #include "net/topology.h"
 #include "scenario/dynamics.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
 namespace {
 
 using net::NodeId;
+using testing_util::SoloQuery;
 using workload::SelectivityParams;
 using workload::Workload;
 
@@ -72,7 +74,8 @@ TEST(FailureRecoveryTest, FailoverReplaysBufferedWindowsAfterRecovery) {
   // producers must fail over, and once the relay recovers, the pending
   // replay retry delivers the buffered window and results resume.
   FailureFixture fx = FailureFixture::Make(/*seed=*/7);
-  join::JoinExecutor exec(fx.wl.get(), fx.opts);
+  SoloQuery solo(fx.wl.get(), fx.opts);
+  join::JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   NodeId j = InnetJoinNode(exec);
   ASSERT_GE(j, 0) << "fixture must place the join in-network";
@@ -80,10 +83,10 @@ TEST(FailureRecoveryTest, FailoverReplaysBufferedWindowsAfterRecovery) {
   scenario::DynamicsSchedule schedule;
   schedule.FailAt(/*cycle=*/10, j).RecoverAt(/*cycle=*/25, j);
   scenario::ScenarioDriver driver(&exec.network(), &schedule);
-  exec.scheduler()->AttachFront(&driver);
+  solo.medium.scheduler()->AttachFront(&driver);
 
   // Through the failure and its detection, up to just before the recovery.
-  ASSERT_TRUE(exec.RunCycles(25).ok());
+  ASSERT_TRUE(solo.RunCycles(25).ok());
   ASSERT_EQ(driver.failures_applied(), 1);
   auto mid = exec.Stats();
   EXPECT_EQ(mid.failovers, 1u);  // one pair switched to the base
@@ -98,7 +101,7 @@ TEST(FailureRecoveryTest, FailoverReplaysBufferedWindowsAfterRecovery) {
 
   // After the recovery the tree path heals: the retried replay gets
   // through and the base join produces results again.
-  ASSERT_TRUE(exec.RunCycles(15).ok());
+  ASSERT_TRUE(solo.RunCycles(15).ok());
   ASSERT_EQ(driver.recoveries_applied(), 1);
   auto end = exec.Stats();
   EXPECT_GT(end.results, mid.results);
@@ -110,7 +113,8 @@ TEST(FailureRecoveryTest, ReplayPendingWhileProducerDownSurvivesChurn) {
   // still pending (the dead join node blocks the tree path). The pending
   // replay must survive the producers' outage and ship once they recover.
   FailureFixture fx = FailureFixture::Make(/*seed=*/7);
-  join::JoinExecutor exec(fx.wl.get(), fx.opts);
+  SoloQuery solo(fx.wl.get(), fx.opts);
+  join::JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   NodeId j = InnetJoinNode(exec);
   ASSERT_GE(j, 0);
@@ -124,17 +128,17 @@ TEST(FailureRecoveryTest, ReplayPendingWhileProducerDownSurvivesChurn) {
       .RecoverAt(/*cycle=*/25, pair.s)
       .RecoverAt(/*cycle=*/25, pair.t);
   scenario::ScenarioDriver driver(&exec.network(), &schedule);
-  exec.scheduler()->AttachFront(&driver);
+  solo.medium.scheduler()->AttachFront(&driver);
 
   // Producers are down cycles 13..24: no replay traffic can flow.
-  ASSERT_TRUE(exec.RunCycles(24).ok());
+  ASSERT_TRUE(solo.RunCycles(24).ok());
   auto mid = exec.Stats();
   EXPECT_GE(mid.failovers, 1u);
   uint64_t wt_mid =
       exec.network().stats().BytesByKind(net::MessageKind::kWindowTransfer);
 
   // After everything recovers, the retried replay ships and results resume.
-  ASSERT_TRUE(exec.RunCycles(16).ok());
+  ASSERT_TRUE(solo.RunCycles(16).ok());
   uint64_t wt_end =
       exec.network().stats().BytesByKind(net::MessageKind::kWindowTransfer);
   EXPECT_GT(wt_end, wt_mid);
@@ -150,22 +154,22 @@ TEST(FailureRecoveryTest, RecoveredRunStaysCloseToUnfailedBaseline) {
   auto baseline_wl = *Workload::MakeQuery0(fx.topo.get(), {1.0, 1.0, 0.5},
                                            /*num_pairs=*/1, /*window=*/3, 7);
 
-  join::JoinExecutor exec(fx.wl.get(), fx.opts);
+  SoloQuery solo(fx.wl.get(), fx.opts);
+  join::JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   NodeId j = InnetJoinNode(exec);
   ASSERT_GE(j, 0);
   scenario::DynamicsSchedule schedule;
   schedule.FailAt(/*cycle=*/10, j).RecoverAt(/*cycle=*/25, j);
   scenario::ScenarioDriver driver(&exec.network(), &schedule);
-  exec.scheduler()->AttachFront(&driver);
-  ASSERT_TRUE(exec.RunCycles(40).ok());
+  solo.medium.scheduler()->AttachFront(&driver);
+  ASSERT_TRUE(solo.RunCycles(40).ok());
 
-  join::JoinExecutor baseline(&baseline_wl, fx.opts);
-  ASSERT_TRUE(baseline.Initiate().ok());
-  ASSERT_TRUE(baseline.RunCycles(40).ok());
+  auto baseline = core::RunExperiment(baseline_wl, fx.opts, 40);
+  ASSERT_TRUE(baseline.ok());
 
-  EXPECT_GT(baseline.results(), 0u);
-  EXPECT_GE(exec.results() * 2, baseline.results());
+  EXPECT_GT(baseline->results, 0u);
+  EXPECT_GE(exec.results() * 2, baseline->results);
 }
 
 TEST(FailureRecoveryTest, FullFailureScenarioIsDeterministic) {

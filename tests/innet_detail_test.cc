@@ -11,12 +11,14 @@
 #include "net/topology.h"
 #include "routing/content_address.h"
 #include "tests/reference_join.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
 namespace join {
 namespace {
 
+using testing_util::SoloQuery;
 using workload::SelectivityParams;
 using workload::Workload;
 
@@ -41,7 +43,8 @@ TEST(GroupOptTest, HighJoinSelectivityGroupsAtBase) {
   SelectivityParams sel{1.0, 1.0, 1.0};
   auto wl = Workload::MakeQuery1(&topo, sel, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, InnetFeatures::Cmg(), sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, InnetFeatures::Cmg(), sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   for (const auto& pl : exec.placements()) {
     EXPECT_TRUE(pl.at_base) << pl.pair.s << "," << pl.pair.t;
@@ -53,7 +56,8 @@ TEST(GroupOptTest, RareJoinsStayInNetwork) {
   SelectivityParams sel{1.0, 1.0, 1.0 / 50};
   auto wl = Workload::MakeQuery0(&topo, sel, 10, 1, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, InnetFeatures::Cmg(), sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, InnetFeatures::Cmg(), sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   int in_net = 0;
   for (const auto& pl : exec.placements()) in_net += !pl.at_base;
@@ -67,7 +71,8 @@ TEST(GroupOptTest, GroupDecisionIsPerGroup) {
   SelectivityParams sel{0.5, 0.5, 0.1};
   auto wl = Workload::MakeQuery2(&topo, sel, 1, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, InnetFeatures::Cmg(), sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, InnetFeatures::Cmg(), sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   std::vector<std::pair<net::NodeId, net::NodeId>> raw;
   for (const auto& key : exec.pairs()) raw.emplace_back(key.s, key.t);
@@ -89,7 +94,8 @@ TEST(GhtTest, SameKeyPairsShareRendezvous) {
   SelectivityParams sel{0.5, 0.5, 0.2};
   auto wl = Workload::MakeQuery1(&topo, sel, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kGht, {}, sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kGht, {}, sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   std::map<int32_t, net::NodeId> key_home;
   for (const auto& pl : exec.placements()) {
@@ -109,7 +115,8 @@ TEST(Yang07Test, JoinNodesAreTheTargets) {
   SelectivityParams sel{0.5, 0.5, 0.2};
   auto wl = Workload::MakeQuery1(&topo, sel, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kYang07, {}, sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kYang07, {}, sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   for (const auto& pl : exec.placements()) {
     EXPECT_FALSE(pl.at_base);
@@ -117,7 +124,7 @@ TEST(Yang07Test, JoinNodesAreTheTargets) {
   }
   // Through-the-base funnels everything through the root: base traffic is
   // a large share of total.
-  ASSERT_TRUE(exec.RunCycles(30).ok());
+  ASSERT_TRUE(solo.RunCycles(30).ok());
   auto stats = exec.Stats();
   EXPECT_GT(stats.base_bytes, stats.total_bytes / 10);
 }
@@ -138,10 +145,12 @@ TEST(OracleTest, OracleUsesPerNodeTruth) {
   auto wl_oracle = make();
   auto opts = Opts(Algorithm::kInnet, {}, sel1);
   opts.oracle = true;
-  JoinExecutor oracle(&wl_oracle, opts);
+  SoloQuery solo_oracle(&wl_oracle, opts);
+  JoinExecutor& oracle = solo_oracle.exec;
   ASSERT_TRUE(oracle.Initiate().ok());
   auto wl_fixed = make();
-  JoinExecutor fixed(&wl_fixed, Opts(Algorithm::kInnet, {}, sel1));
+  SoloQuery solo_fixed(&wl_fixed, Opts(Algorithm::kInnet, {}, sel1));
+  JoinExecutor& fixed = solo_fixed.exec;
   ASSERT_TRUE(fixed.Initiate().ok());
   int differing = 0;
   for (const auto& pl : oracle.placements()) {
@@ -179,11 +188,12 @@ TEST(LearningTest, CountersResetPeriodically) {
   opts.learning = true;
   opts.counter_reset_interval = 10;
   opts.reestimate_interval = 5;
-  JoinExecutor exec(&*wl, opts);
+  SoloQuery solo(&*wl, opts);
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   // Just exercise the reset path over several periods; correctness is the
   // absence of drift (placements remain sane under true estimates).
-  ASSERT_TRUE(exec.RunCycles(50).ok());
+  ASSERT_TRUE(solo.RunCycles(50).ok());
   uint64_t expected = testing_util::ReferenceResults(*wl, 50);
   EXPECT_EQ(exec.results(), expected);
 }
@@ -201,9 +211,10 @@ TEST(LearningTest, MigrationTransfersWindowLosslessly) {
     auto opts = Opts(Algorithm::kInnet, InnetFeatures::Cmg(), wrong);
     opts.learning = true;
     opts.reestimate_interval = 10;
-    JoinExecutor exec(&*wl, opts);
+    SoloQuery solo(&*wl, opts);
+    JoinExecutor& exec = solo.exec;
     ASSERT_TRUE(exec.Initiate().ok());
-    ASSERT_TRUE(exec.RunCycles(120).ok());
+    ASSERT_TRUE(solo.RunCycles(120).ok());
     EXPECT_EQ(exec.results(), testing_util::ReferenceResults(*wl, 120))
         << "seed " << seed;
   }
@@ -229,7 +240,8 @@ TEST(InitLatencyTest, DistributedInitiationIsFast) {
   SelectivityParams sel{0.5, 0.5, 0.2};
   auto wl = Workload::MakeQuery1(&topo, sel, 3, 7);
   ASSERT_TRUE(wl.ok());
-  JoinExecutor exec(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  SoloQuery solo(&*wl, Opts(Algorithm::kInnet, {}, sel));
+  JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
   auto stats = exec.Stats();
   EXPECT_GT(stats.init_latency_cycles, 0);

@@ -1,14 +1,17 @@
-// Satellite coverage for the multi-query SharedMedium path: with packet
-// merging disabled and a lossless radio, attaching executors to one medium
-// must not change any query's behavior — per-query traffic (isolated by the
-// TrafficStats query dimension) and results must be byte-for-byte identical
-// to the same queries run on owned networks.
+// Co-residency on a SharedMedium: with packet merging disabled and a
+// lossless radio, hosting several queries on one medium must not change
+// any query's behavior — per-query traffic (isolated by the TrafficStats
+// query dimension) and results must be byte-for-byte identical to the same
+// query run alone (core::RunExperiment, itself a one-query medium; the
+// golden-run test pins that path under loss and merging too).
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "join/executor.h"
 #include "join/medium.h"
 #include "net/topology.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
@@ -33,20 +36,13 @@ SoloVsShared RunBoth(Algorithm algo, InnetFeatures features, int cycles) {
   opts.assumed = sel;
 
   SoloVsShared out;
-  {
-    auto wl = *Workload::MakeQuery1(&topo, sel, 3, 7);
-    JoinExecutor solo(&wl, opts);
-    EXPECT_TRUE(solo.Initiate().ok());
-    EXPECT_TRUE(solo.RunCycles(cycles).ok());
-    out.solo1 = solo.Stats();
-  }
-  {
-    auto wl = *Workload::MakeQuery2(&topo, sel, 3, 9);
-    JoinExecutor solo(&wl, opts);
-    EXPECT_TRUE(solo.Initiate().ok());
-    EXPECT_TRUE(solo.RunCycles(cycles).ok());
-    out.solo2 = solo.Stats();
-  }
+  auto solo1 = core::RunExperiment(*Workload::MakeQuery1(&topo, sel, 3, 7),
+                                   opts, cycles);
+  auto solo2 = core::RunExperiment(*Workload::MakeQuery2(&topo, sel, 3, 9),
+                                   opts, cycles);
+  EXPECT_TRUE(solo1.ok() && solo2.ok());
+  out.solo1 = *solo1;
+  out.solo2 = *solo2;
   auto q1 = *Workload::MakeQuery1(&topo, sel, 3, 7);
   auto q2 = *Workload::MakeQuery2(&topo, sel, 3, 9);
   SharedMedium medium(&topo, {});  // merging disabled, lossless
@@ -64,8 +60,8 @@ SoloVsShared RunBoth(Algorithm algo, InnetFeatures features, int cycles) {
 }
 
 void ExpectPerQueryIdentical(const RunStats& solo, const RunStats& shared) {
-  // On an owned network the whole network is one query, so the solo run's
-  // query-isolated counters equal its totals; on the medium the query
+  // Alone on its medium a query is all the traffic, so the solo run's
+  // query-isolated counters equal its totals; beside a co-tenant the query
   // dimension must isolate exactly the same traffic.
   EXPECT_EQ(solo.query_bytes, solo.total_bytes);
   EXPECT_EQ(solo.query_messages, solo.total_messages);
@@ -81,7 +77,7 @@ void ExpectPerQueryIdentical(const RunStats& solo, const RunStats& shared) {
   EXPECT_EQ(shared.sampling_cycles, solo.sampling_cycles);
 }
 
-TEST(MediumEquivalenceTest, BasePerQueryStatsMatchOwnedNetworks) {
+TEST(MediumEquivalenceTest, BasePerQueryStatsMatchSoloRuns) {
   SoloVsShared r = RunBoth(Algorithm::kBase, {}, 25);
   ExpectPerQueryIdentical(r.solo1, r.shared1);
   ExpectPerQueryIdentical(r.solo2, r.shared2);
@@ -90,7 +86,7 @@ TEST(MediumEquivalenceTest, BasePerQueryStatsMatchOwnedNetworks) {
             r.solo1.total_bytes + r.solo2.total_bytes);
 }
 
-TEST(MediumEquivalenceTest, InnetPerQueryStatsMatchOwnedNetworks) {
+TEST(MediumEquivalenceTest, InnetPerQueryStatsMatchSoloRuns) {
   // Exploration and nominations run on the computed plane (charged via the
   // ambient query scope), so even Innet initiation must attribute exactly.
   SoloVsShared r = RunBoth(Algorithm::kInnet, InnetFeatures::None(), 25);
@@ -100,17 +96,17 @@ TEST(MediumEquivalenceTest, InnetPerQueryStatsMatchOwnedNetworks) {
             r.solo1.total_bytes + r.solo2.total_bytes);
 }
 
-TEST(MediumEquivalenceTest, YangPerQueryStatsMatchOwnedNetworks) {
+TEST(MediumEquivalenceTest, YangPerQueryStatsMatchSoloRuns) {
   SoloVsShared r = RunBoth(Algorithm::kYang07, {}, 25);
   ExpectPerQueryIdentical(r.solo1, r.shared1);
   ExpectPerQueryIdentical(r.solo2, r.shared2);
 }
 
-TEST(MediumEquivalenceTest, StaggeredInitiationMatchesOwnedRunAtSameCycle) {
+TEST(MediumEquivalenceTest, StaggeredInitiationMatchesSoloRunAtSameCycle) {
   // Service-mode admission: a query added at cycle N on a running medium
-  // must behave exactly like an owned-network run whose clock was seeked
-  // to N — sampling is a pure function of the cycle number, and on a
-  // lossless non-merging medium the co-tenant query cannot interfere.
+  // must behave exactly like a solo run whose clock was seeked to N —
+  // sampling is a pure function of the cycle number, and on a lossless
+  // non-merging medium the co-tenant query cannot interfere.
   const int kStagger = 12;
   const int kTail = 20;
   auto topo = *net::Topology::Random(80, 7.0, 11);
@@ -122,11 +118,11 @@ TEST(MediumEquivalenceTest, StaggeredInitiationMatchesOwnedRunAtSameCycle) {
   RunStats solo;
   {
     auto wl = *Workload::MakeQuery2(&topo, sel, 3, 9);
-    JoinExecutor exec(&wl, opts);
-    ASSERT_TRUE(exec.Initiate().ok());
-    exec.scheduler()->SeekTo(kStagger);
-    ASSERT_TRUE(exec.RunCycles(kTail).ok());
-    solo = exec.Stats();
+    testing_util::SoloQuery run(&wl, opts);
+    ASSERT_TRUE(run.exec.Initiate().ok());
+    run.medium.scheduler()->SeekTo(kStagger);
+    ASSERT_TRUE(run.RunCycles(kTail).ok());
+    solo = run.exec.Stats();
   }
 
   auto q1 = *Workload::MakeQuery1(&topo, sel, 3, 7);
@@ -235,14 +231,11 @@ TEST(MediumEquivalenceTest, SharedPlacementAttachMatchesSoloReference) {
   opts.assumed = sel;
   opts.knobs.tree_mode = common::TreeMode::kShared;
 
-  RunStats solo;
-  {
-    auto wl = *Workload::MakeQuery1(&topo, sel, 3, 7);
-    JoinExecutor exec(&wl, opts);
-    ASSERT_TRUE(exec.Initiate().ok());
-    ASSERT_TRUE(exec.RunCycles(kCycles).ok());
-    solo = exec.Stats();
-  }
+  auto solo_run =
+      core::RunExperiment(*Workload::MakeQuery1(&topo, sel, 3, 7), opts,
+                          kCycles);
+  ASSERT_TRUE(solo_run.ok());
+  const RunStats solo = *solo_run;
 
   auto q1 = *Workload::MakeQuery1(&topo, sel, 3, 7);
   auto q2 = *Workload::MakeQuery1(&topo, sel, 3, 7);
@@ -284,14 +277,11 @@ TEST(MediumEquivalenceTest, SharedPlacementDetachPromotesSubscriber) {
   opts.assumed = sel;
   opts.knobs.tree_mode = common::TreeMode::kShared;
 
-  RunStats solo;
-  {
-    auto wl = *Workload::MakeQuery1(&topo, sel, 3, 7);
-    JoinExecutor exec(&wl, opts);
-    ASSERT_TRUE(exec.Initiate().ok());
-    ASSERT_TRUE(exec.RunCycles(kHead + kTail).ok());
-    solo = exec.Stats();
-  }
+  auto solo_run =
+      core::RunExperiment(*Workload::MakeQuery1(&topo, sel, 3, 7), opts,
+                          kHead + kTail);
+  ASSERT_TRUE(solo_run.ok());
+  const RunStats solo = *solo_run;
 
   auto q1 = *Workload::MakeQuery1(&topo, sel, 3, 7);
   auto q2 = *Workload::MakeQuery1(&topo, sel, 3, 7);

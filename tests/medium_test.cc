@@ -1,5 +1,8 @@
+#include <tuple>
+
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "join/medium.h"
 #include "net/topology.h"
 #include "query/parser.h"
@@ -61,10 +64,9 @@ TEST(SharedMediumTest, ResultsMatchSoloExecution) {
   ASSERT_TRUE(medium.InitiateAll().ok());
   ASSERT_TRUE(medium.RunCycles(25).ok());
 
-  JoinExecutor solo(&solo_wl, opts);
-  ASSERT_TRUE(solo.Initiate().ok());
-  ASSERT_TRUE(solo.RunCycles(25).ok());
-  EXPECT_EQ(shared_exec->results(), solo.results());
+  auto solo = core::RunExperiment(solo_wl, opts, 25);
+  ASSERT_TRUE(solo.ok());
+  EXPECT_EQ(shared_exec->results(), solo->results);
 }
 
 TEST(SharedMediumTest, CombinedTrafficAtLeastEachQuery) {
@@ -77,10 +79,9 @@ TEST(SharedMediumTest, CombinedTrafficAtLeastEachQuery) {
   opts.algorithm = Algorithm::kBase;
   opts.assumed = sel;
 
-  JoinExecutor solo(&q1_solo, opts);
-  ASSERT_TRUE(solo.Initiate().ok());
-  ASSERT_TRUE(solo.RunCycles(20).ok());
-  uint64_t solo_bytes = solo.network().stats().TotalBytesSent();
+  auto solo = core::RunExperiment(q1_solo, opts, 20);
+  ASSERT_TRUE(solo.ok());
+  const uint64_t solo_bytes = solo->total_bytes;
 
   auto q2 = *Workload::MakeQuery2(&*topo, sel, 3, 9);
   SharedMedium medium(&*topo, {});
@@ -104,11 +105,11 @@ TEST(SharedMediumTest, CrossQueryMergingSavesHeaders) {
 
   uint64_t sum_solo = 0;
   for (uint64_t seed : {7ULL, 9ULL}) {
-    auto wl = *Workload::MakeQuery1(&*topo, sel, 3, seed);
-    JoinExecutor solo(&wl, opts);
-    ASSERT_TRUE(solo.Initiate().ok());
-    ASSERT_TRUE(solo.RunCycles(20).ok());
-    sum_solo += solo.network().stats().TotalBytesSent();
+    auto solo =
+        core::RunExperiment(*Workload::MakeQuery1(&*topo, sel, 3, seed),
+                            opts, 20);
+    ASSERT_TRUE(solo.ok());
+    sum_solo += solo->total_bytes;
   }
 
   auto a = *Workload::MakeQuery1(&*topo, sel, 3, 7);
@@ -123,20 +124,39 @@ TEST(SharedMediumTest, CrossQueryMergingSavesHeaders) {
   EXPECT_LT(medium.stats().TotalBytesSent(), sum_solo);
 }
 
-TEST(SharedMediumTest, RunCyclesRejectedOnAttachedExecutor) {
+class UninitiatedQueryTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(UninitiatedQueryTest, RunFailsPreconditionUntilInitiated) {
+  // An admitted query that was never initiated must fail the run with a
+  // Status at every shard count and pipeline depth — not reach the shard
+  // passes, which read state only initiation builds.
+  const auto [shards, depth] = GetParam();
   auto topo = net::Topology::Random(40, 7.0, 3);
   ASSERT_TRUE(topo.ok());
   auto wl = *Workload::MakeQuery1(&*topo, {0.5, 0.5, 0.2}, 3, 7);
-  SharedMedium medium(&*topo, {});
+  MediumOptions mopts;
+  mopts.knobs.shards = shards;
+  mopts.knobs.pipeline_depth = depth;
+  SharedMedium medium(&*topo, {}, mopts);
   ExecutorOptions opts;
-  opts.algorithm = Algorithm::kBase;
+  opts.algorithm = Algorithm::kInnet;
   auto admitted = medium.TryAddQuery(&wl, opts);
   ASSERT_TRUE(admitted.ok());
   JoinExecutor* exec = *admitted;
-  ASSERT_TRUE(medium.InitiateAll().ok());
-  EXPECT_FALSE(exec->RunCycles(1).ok());
-  EXPECT_TRUE(medium.RunCycles(1).ok());
+  Status st = medium.RunCycles(2);
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_EQ(medium.scheduler()->cycle(), 0);
+  // Once initiated, the same medium runs; a second Initiate is a bug.
+  ASSERT_TRUE(exec->Initiate().ok());
+  EXPECT_TRUE(exec->Initiate().IsFailedPrecondition());
+  ASSERT_TRUE(medium.RunCycles(2).ok());
+  EXPECT_EQ(exec->results(), testing_util::ReferenceResults(wl, 2));
 }
+
+INSTANTIATE_TEST_SUITE_P(ShardsByDepth, UninitiatedQueryTest,
+                         ::testing::Combine(::testing::Values(1, 2),
+                                            ::testing::Values(1, 2)));
 
 TEST(SharedMediumTest, EmptyMediumRejectsRun) {
   auto topo = net::Topology::Random(40, 7.0, 3);

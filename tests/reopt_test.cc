@@ -10,6 +10,7 @@
 #include <string>
 
 #include "adapt/reopt.h"
+#include "core/engine.h"
 #include "join/executor.h"
 #include "join/medium.h"
 #include "net/topology.h"
@@ -93,10 +94,9 @@ RunStats RunShifted(const net::Topology& topo, int shards, int depth,
   opts.knobs.shards = shards;
   opts.knobs.pipeline_depth = depth;
   opts.knobs.reopt_interval = 10;
-  JoinExecutor exec(&wl, opts);
-  EXPECT_TRUE(exec.Initiate().ok());
-  EXPECT_TRUE(exec.RunCycles(kCycles).ok());
-  return exec.Stats();
+  Result<RunStats> st = core::RunExperiment(wl, opts, kCycles);
+  EXPECT_TRUE(st.ok()) << st.status().ToString();
+  return st.ok() ? *st : RunStats();
 }
 
 void ExpectIdentical(const RunStats& a, const RunStats& b,
@@ -143,12 +143,10 @@ TEST(ReoptMigrationTest, FrozenPlacementsNeverMigrate) {
   ExecutorOptions opts;
   opts.algorithm = Algorithm::kInnet;
   opts.assumed = kBefore;
-  JoinExecutor exec(&wl, opts);
-  ASSERT_TRUE(exec.Initiate().ok());
-  ASSERT_TRUE(exec.RunCycles(kCycles).ok());
-  RunStats st = exec.Stats();
-  EXPECT_EQ(st.reopt_passes, 0u);
-  EXPECT_EQ(st.planned_migrations, 0u);
+  Result<RunStats> st = core::RunExperiment(wl, opts, kCycles);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->reopt_passes, 0u);
+  EXPECT_EQ(st->planned_migrations, 0u);
 }
 
 TEST(ReoptMigrationTest, ShardAndDepthByteIdentityWithReoptOn) {

@@ -3,12 +3,13 @@
 // migrations and failovers — is byte-identical for every shard count. The
 // shard count only decides which thread executes which node range; the
 // exchange phases merge all cross-shard interactions in canonical content
-// order (net/network.h, sim/sharded_scheduler.h).
+// order (net/network.h, sim/cycle_scheduler.h).
 //
 // The property is exercised across topologies, algorithms, lossy radios and
 // scripted dynamics (churn, kills, loss drift), i.e. including the paths
 // where frames retransmit, drop mid-flight, fail over and replay windows.
 
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "join/executor.h"
 #include "net/topology.h"
 #include "scenario/dynamics.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
@@ -93,16 +95,16 @@ struct Scenario {
 RunDigest RunAtShards(const Workload& wl, const Scenario& sc, int shards) {
   join::ExecutorOptions opts = sc.opts;
   opts.knobs.shards = shards;
-  join::JoinExecutor exec(&wl, opts);
-  EXPECT_TRUE(exec.Initiate().ok());
+  testing_util::SoloQuery solo(&wl, opts);
+  EXPECT_TRUE(solo.exec.Initiate().ok());
   std::unique_ptr<scenario::ScenarioDriver> driver;
   if (sc.dynamics != nullptr) {
-    driver = std::make_unique<scenario::ScenarioDriver>(&exec.network(),
-                                                        sc.dynamics);
-    exec.scheduler()->AttachFront(driver.get());
+    driver = std::make_unique<scenario::ScenarioDriver>(
+        &solo.medium.network(), sc.dynamics);
+    solo.medium.scheduler()->AttachFront(driver.get());
   }
-  EXPECT_TRUE(exec.RunCycles(sc.cycles).ok());
-  return DigestOf(exec);
+  EXPECT_TRUE(solo.RunCycles(sc.cycles).ok());
+  return DigestOf(solo.exec);
 }
 
 void CheckShardInvariance(const Workload& wl, const Scenario& sc) {
@@ -187,10 +189,10 @@ TEST(ShardEquivalenceTest, TargetedJoinNodeKill) {
   join::ExecutorOptions probe_opts;
   probe_opts.algorithm = join::Algorithm::kInnet;
   probe_opts.assumed = {1.0, 1.0, 0.02};
-  join::JoinExecutor probe(&wl, probe_opts);
-  ASSERT_TRUE(probe.Initiate().ok());
+  testing_util::SoloQuery probe(&wl, probe_opts);
+  ASSERT_TRUE(probe.exec.Initiate().ok());
   scenario::DynamicsSchedule schedule;
-  for (const auto& pl : probe.placements()) {
+  for (const auto& pl : probe.exec.placements()) {
     if (!pl.at_base && pl.join_node != pl.pair.s && pl.join_node != pl.pair.t) {
       schedule.FailAt(/*cycle=*/12, pl.join_node);
     }

@@ -13,6 +13,7 @@
 #include "join/medium.h"
 #include "net/topology.h"
 #include "sim/cycle_scheduler.h"
+#include "tests/solo_query.h"
 #include "workload/workload.h"
 
 namespace aspen {
@@ -118,22 +119,23 @@ join::RunStats RunInChunks(const net::Topology& topo,
                            join::ExecutorOptions opts,
                            const std::vector<int>& chunks, int seek_between) {
   (void)topo;
-  join::JoinExecutor exec(&wl, opts);
-  EXPECT_TRUE(exec.Initiate().ok());
+  testing_util::SoloQuery solo(&wl, opts);
+  EXPECT_TRUE(solo.exec.Initiate().ok());
+  sim::CycleScheduler* sched = solo.medium.scheduler();
   bool first = true;
   for (int n : chunks) {
     if (!first && seek_between > 0) {
-      exec.scheduler()->SeekTo(exec.scheduler()->cycle() + seek_between);
+      sched->SeekTo(sched->cycle() + seek_between);
     }
     first = false;
-    EXPECT_TRUE(exec.RunCycles(n).ok());
+    EXPECT_TRUE(solo.RunCycles(n).ok());
   }
-  return exec.Stats();
+  return solo.exec.Stats();
 }
 
 TEST(SchedulerDeterminismTest, PipelinedContinuationInvariance) {
   // RunCycles(5) twice must equal RunCycles(10) at every pipeline depth:
-  // RunFinished invalidates the prestaged slabs on each exit, so state
+  // FinishRun invalidates the prestaged slabs on each exit, so state
   // observed (or mutated) between calls never depends on the depth.
   auto topo = *net::Topology::Random(70, 7.0, 11);
   SelectivityParams sel{0.5, 0.5, 0.2};
