@@ -131,9 +131,7 @@ Result<uint64_t> JoinExecutor::SubmitMcastToNet(Message msg,
 }
 
 const routing::RoutingTree& JoinExecutor::primary_tree() const {
-  if (multi_ != nullptr) return multi_->primary();
-  ASPEN_CHECK(single_tree_ != nullptr);
-  return *single_tree_;
+  return medium_->primary_tree();
 }
 
 int JoinExecutor::DepthOf(NodeId id) const {
@@ -343,15 +341,11 @@ Status JoinExecutor::Initiate() {
 
 Status JoinExecutor::InitNaive() {
   // No per-query setup beyond the (sunk) initial routing-tree construction.
-  single_tree_ = std::make_unique<routing::RoutingTree>(
-      routing::RoutingTree::Build(workload_->topology(), 0));
   init_latency_ = 0;
   return Status::OK();
 }
 
 Status JoinExecutor::InitBase() {
-  single_tree_ = std::make_unique<routing::RoutingTree>(
-      routing::RoutingTree::Build(workload_->topology(), 0));
   // Static pre-computation round (Table 3, Base row): every
   // selection-eligible node reports its static join attributes to the base;
   // the base replies to the nodes that participate in at least one pair.
@@ -360,13 +354,13 @@ Status JoinExecutor::InitBase() {
   int max_depth = 0;
   for (NodeId u = 1; u < workload_->topology().num_nodes(); ++u) {
     if (!workload_->SEligible(u) && !workload_->TEligible(u)) continue;
-    ChargeAlongPath(single_tree_->PathToRoot(u), report_bytes,
+    ChargeAlongPath(primary_tree().PathToRoot(u), report_bytes,
                     MessageKind::kExploration);
-    max_depth = std::max(max_depth, single_tree_->DepthOf(u));
+    max_depth = std::max(max_depth, DepthOf(u));
   }
   for (NodeId u = 1; u < workload_->topology().num_nodes(); ++u) {
     if (!nodes_[u].s_pairs.empty() || !nodes_[u].t_pairs.empty()) {
-      ChargeAlongPath(single_tree_->PathFromRoot(u), reply_bytes,
+      ChargeAlongPath(primary_tree().PathFromRoot(u), reply_bytes,
                       MessageKind::kExplorationReply);
     }
   }
@@ -377,8 +371,6 @@ Status JoinExecutor::InitBase() {
 Status JoinExecutor::InitYang07() {
   // Through-the-base needs no setup (Table 3: initiation 0); join nodes are
   // the T producers themselves.
-  single_tree_ = std::make_unique<routing::RoutingTree>(
-      routing::RoutingTree::Build(workload_->topology(), 0));
   for (auto& pl : placements_) {
     if (pl.shared_owner >= 0) continue;  // served by the sharing owner
     pl.at_base = false;
@@ -386,7 +378,7 @@ Status JoinExecutor::InitYang07() {
     // The root's relay route to this T partner, interned once and retained
     // (one owner reference) until Shutdown.
     pl.route_from_root =
-        net_->routes().InternPath(single_tree_->PathFromRoot(pl.pair.t));
+        net_->routes().InternPath(primary_tree().PathFromRoot(pl.pair.t));
     RefRoute(pl.route_from_root);
   }
   init_latency_ = 0;
@@ -394,8 +386,6 @@ Status JoinExecutor::InitYang07() {
 }
 
 Status JoinExecutor::InitGht() {
-  single_tree_ = std::make_unique<routing::RoutingTree>(
-      routing::RoutingTree::Build(workload_->topology(), 0));
   const auto& topo = workload_->topology();
   if (opts_.mesh_mode) {
     dht_ = std::make_unique<routing::DhtRing>(&topo, opts_.seed);

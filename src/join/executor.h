@@ -58,9 +58,9 @@ class JoinExecutor : public sim::CycleParticipant,
   JoinExecutor(const JoinExecutor&) = delete;
   JoinExecutor& operator=(const JoinExecutor&) = delete;
 
-  /// \brief Runs initiation: routing substrate construction, exploration,
-  /// cost-based placement, group optimization, multicast setup. Must be
-  /// called exactly once before the medium runs a cycle.
+  /// \brief Runs initiation: exploration over the medium's routing
+  /// substrate, cost-based placement, group optimization, multicast setup.
+  /// Must be called exactly once before the medium runs a cycle.
   Status Initiate();
 
   /// \brief Tears the query down: drops buffered arrival payload
@@ -304,6 +304,8 @@ class JoinExecutor : public sim::CycleParticipant,
 
   // -- helpers -------------------------------------------------------------------
   PairPlacement* MutablePlacement(const PairKey& pair);
+  /// The medium's base-rooted routing tree — the tree every algorithm's
+  /// depths, tree paths and tree-to-root frames use.
   const routing::RoutingTree& primary_tree() const;
   int DepthOf(net::NodeId id) const;
   opt::PairCostInputs AssumedCost() const;
@@ -357,11 +359,14 @@ class JoinExecutor : public sim::CycleParticipant,
   /// Number of placements with shared_entry >= 0 — gates the fan-out
   /// lookup in DeliverResultAtBase so unshared queries pay nothing.
   int num_fanout_pairs_ = 0;
-  std::unique_ptr<routing::RoutingTree> single_tree_;  // non-Innet algorithms
-  std::unique_ptr<routing::MultiTree> multi_;          // Innet substrate
+  /// Innet exploration substrate (trees plus the primary join key's
+  /// summary index), shared with co-resident queries over the same
+  /// workload and owned jointly by its holders; the medium keeps only a
+  /// weak reference (SharedMedium::InnetSubstrate). Null for the other
+  /// algorithms and for Innet queries without a routable join clause.
+  std::shared_ptr<const routing::MultiTree> multi_;
   std::unique_ptr<routing::GeoHash> geo_;
   std::unique_ptr<routing::DhtRing> dht_;
-  int routed_attr_ = -1;  ///< MultiTree index of the derived join attribute
 
   std::vector<net::NodeId> s_nodes_, t_nodes_;
   std::vector<PairKey> pairs_;

@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/sorted_vec.h"
 #include "join/executor.h"
+#include "join/medium.h"
 
 namespace aspen {
 namespace join {
@@ -67,41 +68,21 @@ constexpr int kMcastUpdateBytesPerEdge = 4;
 }  // namespace
 
 Status JoinExecutor::InitInnet() {
-  routing::MultiTreeOptions mt_opts;
-  mt_opts.num_trees = opts_.num_trees;
-  // The substrate — trees, beacon floods, and the summary index of this
-  // query's primary join key (node positions for a region join) — models
-  // deployment-time state, like the initial routing tree that Naive/Base
-  // get for free (Appendix C), so none of its traffic is charged to this
-  // query (null stats below). Each executor still builds its own copy,
-  // since the indexed key is derived from its predicate, and its set-up
-  // time counts toward initiation. Query-specific initiation —
-  // exploration, replies, nominations — is charged below (Table 3's
-  // ">= sum Dst").
-  multi_ = std::make_unique<routing::MultiTree>(&workload_->topology(),
-                                                mt_opts, nullptr);
-  const auto& primary = workload_->analysis().primary;
-  if (!primary.has_value()) {
+  if (!workload_->analysis().primary.has_value()) {
     // No routable static join clause: the only consistent strategy is a
     // grouped join at the base (Section 2), which the default placements
-    // already encode.
+    // already encode. Depths come from the medium's primary tree, so no
+    // exploration substrate is needed.
     return Status::OK();
   }
-  if (primary->region_radius_dm.has_value()) {
-    multi_->IndexPositions(nullptr);
-  } else {
-    routing::IndexedAttribute attr;
-    attr.name = "primary_join_key";
-    attr.summary_type = opts_.summary_type;
-    const workload::Workload* w = workload_;
-    query::ExprPtr target = primary->target_expr;
-    attr.value_fn = [w, target](NodeId id) {
-      const query::Tuple& t = w->statics().tuple(id);
-      return target->Eval(&t, nullptr);
-    };
-    ASPEN_ASSIGN_OR_RETURN(routed_attr_,
-                           multi_->IndexAttribute(attr, nullptr));
-  }
+  // The substrate — trees, beacon floods, and the summary index of the
+  // workload's primary join key — is deployment-time state, like the
+  // initial routing tree that Naive/Base get for free (Appendix C): the
+  // medium builds it once per workload and shares it with every
+  // co-resident query, charging none of its traffic. Query-specific
+  // initiation — exploration, replies, nominations — is charged below
+  // (Table 3's ">= sum Dst").
+  ASPEN_ASSIGN_OR_RETURN(multi_, medium_->InnetSubstrate(*workload_, opts_));
   ASPEN_RETURN_NOT_OK(ExplorePairs());
   if (opts_.features.group_opt) RunGroupOpt(/*charge_traffic=*/true);
   if (opts_.features.multicast) BuildMulticastRoutes(/*charge_traffic=*/true);
@@ -142,8 +123,8 @@ Status JoinExecutor::ExplorePairs() {
     } else {
       const query::Tuple& st = workload_->statics().tuple(s);
       int32_t probe = primary.probe_expr->Eval(&st, nullptr);
-      found = multi_->FindMatches(s, routed_attr_, probe, accept,
-                                  &net_->stats(), &ss);
+      found = multi_->FindMatches(s, SharedMedium::kJoinKeyAttr, probe,
+                                  accept, &net_->stats(), &ss);
     }
     init_latency_ = std::max(init_latency_, ss.max_hops);
     // Keep, per target, the path whose best placement is cheapest.

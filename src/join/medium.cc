@@ -209,6 +209,12 @@ Status SharedMedium::RemoveQuery(int query_id) {
   ASPEN_RETURN_NOT_OK(exec->Shutdown());
   sched_.Detach(exec);
   executors_[query_id].reset();
+  // Forget the substrates the departed query was the last holder of.
+  substrates_.erase(std::remove_if(substrates_.begin(), substrates_.end(),
+                                   [](const SubstrateEntry& e) {
+                                     return e.substrate.expired();
+                                   }),
+                    substrates_.end());
   // A workload the medium built for this query (QuerySpec admission) dies
   // with it — after the executor, which borrowed it.
   for (size_t i = 0; i < owned_workloads_.size(); ++i) {
@@ -222,6 +228,45 @@ Status SharedMedium::RemoveQuery(int query_id) {
       query_id);
   --live_queries_;
   return Status::OK();
+}
+
+// ---- shared routing substrate --------------------------------------------------
+
+Result<std::shared_ptr<const routing::MultiTree>> SharedMedium::InnetSubstrate(
+    const workload::Workload& workload, const ExecutorOptions& options) {
+  for (const SubstrateEntry& e : substrates_) {
+    if (e.workload == &workload && e.num_trees == options.num_trees &&
+        e.summary_type == options.summary_type) {
+      if (auto live = e.substrate.lock()) return live;
+    }
+  }
+  // None yet: build `num_trees` trees plus the summary index of the
+  // primary join key (node positions for a region join). Beacons and
+  // summary shipping are deployment-time traffic, charged to nobody.
+  routing::MultiTreeOptions mt_opts;
+  mt_opts.num_trees = options.num_trees;
+  auto built = std::make_shared<routing::MultiTree>(topology_, mt_opts,
+                                                    nullptr);
+  const query::PrimaryJoin& primary = *workload.analysis().primary;
+  if (primary.region_radius_dm.has_value()) {
+    built->IndexPositions(nullptr);
+  } else {
+    routing::IndexedAttribute attr;
+    attr.name = "primary_join_key";
+    attr.summary_type = options.summary_type;
+    const workload::Workload* w = &workload;
+    query::ExprPtr target = primary.target_expr;
+    attr.value_fn = [w, target](net::NodeId id) {
+      const query::Tuple& t = w->statics().tuple(id);
+      return target->Eval(&t, nullptr);
+    };
+    ASPEN_ASSIGN_OR_RETURN(const int attr_idx,
+                           built->IndexAttribute(attr, nullptr));
+    ASPEN_CHECK_EQ(attr_idx, kJoinKeyAttr);
+  }
+  substrates_.push_back(
+      {&workload, options.num_trees, options.summary_type, built});
+  return std::shared_ptr<const routing::MultiTree>(std::move(built));
 }
 
 Status SharedMedium::InitiateAll() {
@@ -241,18 +286,23 @@ Status SharedMedium::RunCycles(int n) {
 
 // ---- cross-query placement sharing ---------------------------------------------
 
-uint64_t SharedMedium::FingerprintPair(const JoinExecutor& exec,
-                                       const PairKey& pair) const {
+namespace {
+
+uint64_t FnvMix(uint64_t h, uint64_t v) { return (h ^ v) * 0x100000001B3ULL; }
+
+}  // namespace
+
+uint64_t SharedMedium::FingerprintQuery(const JoinExecutor& exec) const {
   // Two queries share a pair's evaluation iff one computation provably
   // serves both: the fingerprint covers everything that shapes results —
-  // the normalized predicate text, window shape, workload identity (seed
-  // and generation parameters drive the sample stream), algorithm and its
-  // feature/placement options, and the pair key itself.
+  // the normalized predicate text, window shape, workload identity (every
+  // generation input the workload holds at admission: seed, default
+  // parameters, per-node overrides, global switch), algorithm and its
+  // feature/placement options, and (mixed in by ClaimPairs) the pair key
+  // itself. It is a snapshot: a parameter change after admission does not
+  // re-key the pair.
   uint64_t h = 0xCBF29CE484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 0x100000001B3ULL;
-  };
+  auto mix = [&h](uint64_t v) { h = FnvMix(h, v); };
   auto mix_double = [&mix](double d) {
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(d), "double is 64-bit");
@@ -269,7 +319,7 @@ uint64_t SharedMedium::FingerprintPair(const JoinExecutor& exec,
   mix(static_cast<uint64_t>(q.window.size));
   mix(static_cast<uint64_t>(q.window.sample_interval));
   mix(q.window.time_based ? 1 : 0);
-  mix(wl.seed());
+  mix(wl.GenerationDigest());
   const ExecutorOptions& o = exec.opts_;
   mix_str(AlgorithmName(o.algorithm, o.features));
   mix_double(o.assumed.sigma_s);
@@ -281,8 +331,6 @@ uint64_t SharedMedium::FingerprintPair(const JoinExecutor& exec,
   mix(static_cast<uint64_t>(o.num_trees));
   mix(o.mesh_mode ? 1 : 0);
   mix_double(o.loss_prob);
-  mix(static_cast<uint64_t>(pair.s));
-  mix(static_cast<uint64_t>(pair.t));
   return h;
 }
 
@@ -330,9 +378,12 @@ int SharedMedium::num_shared_placements() const {
 
 void SharedMedium::ClaimPairs(JoinExecutor* exec) {
   const int qid = exec->query_id_;
+  const uint64_t query_fp = FingerprintQuery(*exec);
   for (size_t i = 0; i < exec->placements_.size(); ++i) {
     JoinExecutor::PairPlacement& pl = exec->placements_[i];
-    const uint64_t fp = FingerprintPair(*exec, pl.pair);
+    const uint64_t fp =
+        FnvMix(FnvMix(query_fp, static_cast<uint64_t>(pl.pair.s)),
+               static_cast<uint64_t>(pl.pair.t));
     const int32_t found = FindSharedEntry(fp, pl.pair);
     if (found >= 0) {
       SharedEntry& se = shared_entries_[found];

@@ -32,6 +32,10 @@
 //    no frame is in flight, routes retired by departed (or re-planned)
 //    queries are swept and their ids/storage recycled, keeping route-table
 //    occupancy proportional to the live query set.
+//  - The routing substrate is deployment-time state owned by the medium:
+//    one primary routing tree for every query, and one Innet exploration
+//    substrate per (workload, num_trees, summary_type) in use, shared by
+//    its co-resident queries and freed with the last of them.
 
 #ifndef ASPEN_JOIN_MEDIUM_H_
 #define ASPEN_JOIN_MEDIUM_H_
@@ -43,6 +47,7 @@
 
 #include "join/executor.h"
 #include "net/network.h"
+#include "routing/multi_tree.h"
 #include "routing/routing_tree.h"
 #include "sim/cycle_scheduler.h"
 #include "workload/workload.h"
@@ -198,6 +203,9 @@ class SharedMedium : private sim::CycleParticipant {
   int num_shared_placements() const;
   /// Live (admitted, not removed) query count.
   int num_queries() const { return live_queries_; }
+  /// Innet exploration substrates alive on this medium: one per (workload,
+  /// num_trees, summary_type) that a live query explores with.
+  int num_substrates() const { return static_cast<int>(substrates_.size()); }
   /// Total queries ever admitted (ledger entries + live queries).
   int total_admitted() const { return total_admitted_; }
   /// The live executor for `query_id`; CHECK-fails on a dead or unknown id.
@@ -216,6 +224,24 @@ class SharedMedium : private sim::CycleParticipant {
   /// Smallest recyclable id with no in-flight frames, else a fresh one.
   int AcquireQueryId();
 
+  // -- shared routing substrate ---------------------------------------------
+  /// The base-rooted routing tree: tree-to-root frames follow it, and every
+  /// query reads its depths and tree paths from it. Built at construction.
+  const routing::RoutingTree& primary_tree() const { return primary_; }
+  /// The scalar attribute index under which an Innet substrate holds the
+  /// workload's primary join key (its only indexed attribute).
+  static constexpr int kJoinKeyAttr = 0;
+  /// The Innet exploration substrate for `workload` (which must have a
+  /// routable primary join clause) at `options.num_trees` and
+  /// `options.summary_type`: the live one when a co-resident query already
+  /// holds it, else built now. The caller's reference keeps it alive; the
+  /// medium only remembers it weakly, so it dies with its last holder.
+  /// Never mutated after it is built, so sharing changes no simulated
+  /// byte — exploration charges each caller's own traffic.
+  Result<std::shared_ptr<const routing::MultiTree>> InnetSubstrate(
+      const workload::Workload& workload, const ExecutorOptions& options)
+      ASPEN_REQUIRES_SEQUENTIAL;
+
   // -- cross-query placement sharing (tree_mode == kShared) -----------------
   /// Admission hook, called from JoinExecutor::Initiate after InitCommon:
   /// each of `exec`'s pairs either attaches as a subscriber to a live
@@ -232,8 +258,9 @@ class SharedMedium : private sim::CycleParticipant {
   /// geometry, routes and window state while the departing owner still
   /// holds its references) or frees the entry.
   void DetachShared(int query_id) ASPEN_REQUIRES_SEQUENTIAL;
-  uint64_t FingerprintPair(const JoinExecutor& exec,
-                           const PairKey& pair) const;
+  /// FNV-1a over everything about `exec` that shapes a pair's results,
+  /// the pair itself excepted; ClaimPairs mixes each pair key in.
+  uint64_t FingerprintQuery(const JoinExecutor& exec) const;
   /// Live registry entry serving (fp, pair), or -1.
   int32_t FindSharedEntry(uint64_t fp, const PairKey& pair) const;
   int32_t AllocSharedEntry();
@@ -255,6 +282,15 @@ class SharedMedium : private sim::CycleParticipant {
   std::vector<std::pair<int, std::unique_ptr<workload::Workload>>>
       owned_workloads_;
   std::vector<QueryRecord> ledger_;
+  /// One entry per live Innet substrate, scanned by key equality (a
+  /// handful of entries; never ordered by pointer).
+  struct SubstrateEntry {
+    const workload::Workload* workload = nullptr;
+    int num_trees = 0;
+    routing::SummaryType summary_type = routing::SummaryType::kBloom;
+    std::weak_ptr<const routing::MultiTree> substrate;
+  };
+  std::vector<SubstrateEntry> substrates_;
   /// Sharing registry (stable indices) and its admission-time lookup
   /// index, sorted by (fingerprint, entry) — content-driven, never hashed.
   std::vector<SharedEntry> shared_entries_;

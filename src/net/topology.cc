@@ -302,6 +302,15 @@ NodeId Topology::NearestNode(const Point& p) const {
   return best;
 }
 
+Result<Topology> Topology::FromPositions(std::vector<Point> positions,
+                                         double radio_range) {
+  if (positions.empty() || !(radio_range > 0.0)) {
+    return Status::InvalidArgument(
+        "FromPositions needs >= 1 node and a positive radio range");
+  }
+  return Topology(std::move(positions), radio_range);
+}
+
 Result<Topology> Topology::Random(int num_nodes, double target_degree,
                                   uint64_t seed, double field_size) {
   if (num_nodes < 2) {

@@ -50,10 +50,17 @@ double TargetDegree(TopologyKind kind);
 
 /// \brief An immutable unit-disk connectivity graph over positioned nodes.
 ///
-/// Construction guarantees the graph is connected (generators retry with new
-/// placements or grow the radio range until it is).
+/// The generators guarantee the graph is connected (they retry with new
+/// placements or grow the radio range until it is); FromPositions does not.
 class Topology {
  public:
+  /// \brief The unit-disk graph over explicit node positions (meters) at
+  /// `radio_range`, exactly as given: it may be disconnected, which routing
+  /// trees (RoutingTree::Build) do not accept. Fails on an empty position
+  /// list or a non-positive range.
+  static Result<Topology> FromPositions(std::vector<Point> positions,
+                                        double radio_range);
+
   /// \brief Generates a connected random deployment.
   ///
   /// Nodes are placed uniformly at random on `field_size` x `field_size`

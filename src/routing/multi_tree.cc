@@ -34,22 +34,52 @@ net::MulticastRoute BuildSharedSteinerTree(
   }
 
   // KMB step 1 — metric closure over {source} ∪ terminals via BFS hop
-  // distances (deterministic: adjacency lists are in fixed order).
-  const std::vector<int> from_source = topo.HopDistancesFrom(source);
-  std::vector<std::vector<int>> from_term(steiner.size());
-  for (size_t i = 0; i < steiner.size(); ++i) {
-    from_term[i] = topo.HopDistancesFrom(steiner[i]);
+  // distances (deterministic: adjacency lists are in fixed order). Only
+  // distances to terminals are read, and a BFS distance is final when it
+  // is first assigned, so each search stops once every terminal has one.
+  // closure[r * n + i] holds the hops from origin r (0 = the source,
+  // 1 + k = steiner[k]) to steiner[i]; -1 = unreachable.
+  const size_t n = steiner.size();
+  std::vector<int> closure((n + 1) * n, -1);
+  std::vector<int32_t> term_slot(topo.num_nodes(), -1);
+  for (size_t i = 0; i < n; ++i) {
+    term_slot[steiner[i]] = static_cast<int32_t>(i);
+  }
+  std::vector<int> dist(topo.num_nodes(), -1);
+  std::vector<NodeId> fifo;  // BFS queue; also the visited list to reset
+  auto closure_row = [&](NodeId origin, int* row) {
+    size_t remaining = n;
+    auto reach = [&](NodeId v, int d) {
+      dist[v] = d;
+      fifo.push_back(v);
+      if (term_slot[v] >= 0) {
+        row[term_slot[v]] = d;
+        --remaining;
+      }
+    };
+    fifo.clear();
+    reach(origin, 0);
+    for (size_t head = 0; head < fifo.size() && remaining > 0; ++head) {
+      const NodeId u = fifo[head];
+      for (NodeId v : topo.neighbors(u)) {
+        if (dist[v] < 0) reach(v, dist[u] + 1);
+      }
+    }
+    for (NodeId u : fifo) dist[u] = -1;
+  };
+  closure_row(source, closure.data());
+  for (size_t k = 0; k < n; ++k) {
+    closure_row(steiner[k], closure.data() + (k + 1) * n);
   }
 
   // KMB step 2 — Prim MST over the closure, rooted at the source. Ties
   // break toward the smaller terminal id, then the smaller attach id, so
   // the tree depends only on (topology, source, targets).
-  const size_t n = steiner.size();
   std::vector<int> best(n, INT_MAX);
   std::vector<int> attach(n, -1);  // index into steiner; -1 = the source
   std::vector<char> in_tree(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    const int d = from_source[steiner[i]];
+    const int d = closure[i];
     if (d >= 0) best[i] = d;
   }
   auto attach_id = [&](int a) { return a < 0 ? source : steiner[a]; };
@@ -66,10 +96,10 @@ net::MulticastRoute BuildSharedSteinerTree(
     if (pick < 0) break;  // remaining terminals unreachable
     in_tree[pick] = 1;
     mst.emplace_back(attach[pick], pick);
-    const std::vector<int>& dp = from_term[pick];
+    const int* dp = closure.data() + (static_cast<size_t>(pick) + 1) * n;
     for (size_t i = 0; i < n; ++i) {
       if (in_tree[i]) continue;
-      const int d = dp[steiner[i]];
+      const int d = dp[i];
       if (d < 0) continue;
       if (d < best[i] ||
           (d == best[i] && steiner[pick] < attach_id(attach[i]))) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 #include "routing/content_address.h"
@@ -296,6 +297,32 @@ const SelectivityParams& Workload::ParamsAt(net::NodeId id, int cycle) const {
   if (cycle >= switch_cycle_) return switch_params_;
   if (node_params_[id].has_value()) return *node_params_[id];
   return default_params_;
+}
+
+uint64_t Workload::GenerationDigest() const {
+  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x100000001B3ULL;
+  };
+  auto mix_params = [&mix](const SelectivityParams& p) {
+    for (double d : {p.sigma_s, p.sigma_t, p.sigma_st}) {
+      uint64_t bits = 0;
+      static_assert(sizeof(bits) == sizeof(d), "double is 64-bit");
+      std::memcpy(&bits, &d, sizeof(bits));
+      mix(bits);
+    }
+  };
+  mix(seed_);
+  mix_params(default_params_);
+  for (size_t id = 0; id < node_params_.size(); ++id) {
+    if (!node_params_[id].has_value()) continue;
+    mix(id);
+    mix_params(*node_params_[id]);
+  }
+  mix(static_cast<uint64_t>(switch_cycle_));
+  if (switch_cycle_ != INT32_MAX) mix_params(switch_params_);
+  return h;
 }
 
 const SelectivityParams* Workload::UniformParamsAt(int cycle) const {

@@ -93,6 +93,12 @@ class Workload {
   /// The parameters governing a node's data generation at a cycle.
   const SelectivityParams& ParamsAt(net::NodeId id, int cycle) const;
 
+  /// A digest of every generation input the workload holds now: the seed,
+  /// the default parameters, each per-node override and the global switch.
+  /// Over one topology and query, workloads with equal digests generate
+  /// identical sample streams; a later parameter change alters the digest.
+  uint64_t GenerationDigest() const;
+
   // ---- sampling -----------------------------------------------------------
 
   /// The full sensor tuple sampled by `id` at `cycle`. Pure function.

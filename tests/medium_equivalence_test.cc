@@ -11,6 +11,8 @@
 #include "join/executor.h"
 #include "join/medium.h"
 #include "net/topology.h"
+#include "query/parser.h"
+#include "tests/reference_join.h"
 #include "tests/solo_query.h"
 #include "workload/workload.h"
 
@@ -307,6 +309,187 @@ TEST(MediumEquivalenceTest, SharedPlacementDetachPromotesSubscriber) {
   EXPECT_DOUBLE_EQ(after.avg_result_delay_cycles,
                    solo.avg_result_delay_cycles);
   EXPECT_EQ(after.sampling_cycles, solo.sampling_cycles);
+}
+
+// ---- one Workload object, one shared routing substrate ---------------------------
+
+/// Every RunStats field, compared exactly.
+void ExpectSameRunStats(const RunStats& a, const RunStats& b) {
+  EXPECT_EQ(a.algorithm, b.algorithm);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.base_bytes, b.base_bytes);
+  EXPECT_EQ(a.max_node_bytes, b.max_node_bytes);
+  EXPECT_EQ(a.total_messages, b.total_messages);
+  EXPECT_EQ(a.base_messages, b.base_messages);
+  EXPECT_EQ(a.max_node_messages, b.max_node_messages);
+  EXPECT_EQ(a.initiation_bytes, b.initiation_bytes);
+  EXPECT_EQ(a.computation_bytes, b.computation_bytes);
+  EXPECT_EQ(a.query_bytes, b.query_bytes);
+  EXPECT_EQ(a.query_messages, b.query_messages);
+  EXPECT_EQ(a.top_node_loads, b.top_node_loads);
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.avg_result_delay_cycles, b.avg_result_delay_cycles);
+  EXPECT_EQ(a.max_result_delay_cycles, b.max_result_delay_cycles);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.reopt_passes, b.reopt_passes);
+  EXPECT_EQ(a.planned_migrations, b.planned_migrations);
+  EXPECT_EQ(a.init_latency_cycles, b.init_latency_cycles);
+  EXPECT_EQ(a.sampling_cycles, b.sampling_cycles);
+}
+
+class SubstrateReuseTest
+    : public ::testing::TestWithParam<common::TreeMode> {
+ protected:
+  static constexpr int kCycles = 25;
+
+  /// Two Innet variants that differ in algorithm options (so they never
+  /// share a placement) but not in substrate key: same tree count and
+  /// summary type. The second starts from wrong estimates and learns, so
+  /// its mid-run migrations read depths and tree paths from the medium's
+  /// primary tree.
+  std::vector<ExecutorOptions> Options() const {
+    ExecutorOptions a;
+    a.algorithm = Algorithm::kInnet;
+    a.assumed = {0.5, 0.5, 0.2};
+    a.knobs.tree_mode = GetParam();
+    ExecutorOptions b = a;
+    b.features.group_opt = true;
+    b.assumed = {0.05, 0.9, 0.2};
+    b.learning = true;
+    b.reestimate_interval = 5;
+    return {a, b};
+  }
+
+  /// Runs both variants co-resident on one medium over `workloads[i]`.
+  std::vector<RunStats> RunCoResident(
+      const net::Topology& topo,
+      const std::vector<const Workload*>& workloads, int* substrates) const {
+    MediumOptions mopts;
+    mopts.knobs.tree_mode = GetParam();
+    SharedMedium medium(&topo, {}, mopts);  // merging disabled, lossless
+    const std::vector<ExecutorOptions> opts = Options();
+    std::vector<JoinExecutor*> execs;
+    for (size_t i = 0; i < opts.size(); ++i) {
+      auto admitted = medium.TryAddQuery(workloads[i], opts[i]);
+      EXPECT_TRUE(admitted.ok());
+      execs.push_back(*admitted);
+    }
+    EXPECT_TRUE(medium.InitiateAll().ok());
+    EXPECT_EQ(medium.num_shared_placements(), 0);
+    *substrates = medium.num_substrates();
+    EXPECT_TRUE(medium.RunCycles(kCycles).ok());
+    std::vector<RunStats> out;
+    for (JoinExecutor* e : execs) out.push_back(e->Stats());
+    return out;
+  }
+};
+
+TEST_P(SubstrateReuseTest, CoResidentQueriesOverOneWorkloadMatchSoloRuns) {
+  auto topo = *net::Topology::Random(80, 7.0, 11);
+  const SelectivityParams sel{0.5, 0.5, 0.2};
+  const std::vector<ExecutorOptions> opts = Options();
+
+  std::vector<RunStats> solo;
+  for (const ExecutorOptions& o : opts) {
+    auto run = core::RunExperiment(*Workload::MakeQuery1(&topo, sel, 3, 7), o,
+                                   kCycles);
+    ASSERT_TRUE(run.ok());
+    solo.push_back(*run);
+  }
+  ASSERT_GT(solo[1].migrations, 0u);
+
+  // One Workload object: the second admission reuses the first's
+  // substrate.
+  auto wl = *Workload::MakeQuery1(&topo, sel, 3, 7);
+  int substrates = 0;
+  const std::vector<RunStats> reused =
+      RunCoResident(topo, {&wl, &wl}, &substrates);
+  EXPECT_EQ(substrates, 1);
+
+  // Each query's own counters equal its solo run; medium-wide traffic is
+  // exactly the sum of the two solo runs (no merging, no loss).
+  for (size_t i = 0; i < solo.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    RunStats want = solo[i];
+    RunStats got = reused[i];
+    EXPECT_EQ(got.query_bytes, want.total_bytes);
+    EXPECT_EQ(got.query_messages, want.total_messages);
+    // Re-base the query's view onto the solo run's single-tenant totals.
+    got.total_bytes = got.query_bytes;
+    got.total_messages = got.query_messages;
+    for (uint64_t RunStats::*field :
+         {&RunStats::base_bytes, &RunStats::max_node_bytes,
+          &RunStats::base_messages, &RunStats::max_node_messages,
+          &RunStats::initiation_bytes, &RunStats::computation_bytes}) {
+      got.*field = want.*field;
+    }
+    got.top_node_loads = want.top_node_loads;
+    ExpectSameRunStats(got, want);
+  }
+  EXPECT_EQ(reused[0].total_bytes, solo[0].total_bytes + solo[1].total_bytes);
+  EXPECT_EQ(reused[0].total_messages,
+            solo[0].total_messages + solo[1].total_messages);
+  EXPECT_EQ(reused[0].initiation_bytes,
+            solo[0].initiation_bytes + solo[1].initiation_bytes);
+  EXPECT_EQ(reused[0].base_bytes, solo[0].base_bytes + solo[1].base_bytes);
+
+  // Against the same pair over two identical but separate workloads (one
+  // substrate each), reuse changes no RunStats field at all.
+  auto wl_a = *Workload::MakeQuery1(&topo, sel, 3, 7);
+  auto wl_b = *Workload::MakeQuery1(&topo, sel, 3, 7);
+  const std::vector<RunStats> separate =
+      RunCoResident(topo, {&wl_a, &wl_b}, &substrates);
+  EXPECT_EQ(substrates, 2);
+  for (size_t i = 0; i < separate.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i) + " vs separate workloads");
+    ExpectSameRunStats(reused[i], separate[i]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TreeModes, SubstrateReuseTest,
+                         ::testing::Values(common::TreeMode::kPerSource,
+                                           common::TreeMode::kShared));
+
+TEST(MediumEquivalenceTest, SharingKeysOnEveryGenerationInput) {
+  // Two specs with one SQL text and one seed but different true
+  // parameters generate different sample streams, so no pair evaluation
+  // may serve both: each query equals its own reference join.
+  constexpr char kSql[] =
+      "SELECT S.id, T.id, S.time FROM S, T [windowsize=3 sampleinterval=100] "
+      "WHERE S.id < 25 AND hash(S.u) % 2 = 0 AND T.id > 50 AND "
+      "hash(T.u) % 2 = 0 AND S.x = T.y + 5 AND S.u = T.u";
+  const int kCycles = 30;
+  auto topo = *net::Topology::Random(100, 7.0, 42);
+  MediumOptions mopts;
+  mopts.knobs.tree_mode = common::TreeMode::kShared;
+  SharedMedium medium(&topo, {}, mopts);
+  const std::vector<SelectivityParams> params = {{0.5, 0.5, 0.2},
+                                                 {0.5, 0.5, 0.05}};
+  std::vector<JoinExecutor*> execs;
+  for (const SelectivityParams& p : params) {
+    SharedMedium::QuerySpec spec;
+    spec.sql = kSql;
+    spec.params = p;
+    spec.seed = 7;
+    spec.options.algorithm = Algorithm::kInnet;
+    spec.options.features = InnetFeatures::Cm();
+    spec.options.knobs.tree_mode = common::TreeMode::kShared;
+    auto admitted = medium.TryAddQuery(spec);
+    ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+    execs.push_back(*admitted);
+  }
+  ASSERT_TRUE(medium.InitiateAll().ok());
+  EXPECT_EQ(medium.num_shared_placements(), 0);
+  ASSERT_TRUE(medium.RunCycles(kCycles).ok());
+  for (size_t i = 0; i < params.size(); ++i) {
+    auto wl = Workload::FromQuery(&topo, *query::ParseQuery(kSql), params[i],
+                                  7);
+    ASSERT_TRUE(wl.ok());
+    EXPECT_EQ(execs[i]->results(),
+              testing_util::ReferenceResults(*wl, kCycles))
+        << "query " << i;
+  }
 }
 
 }  // namespace

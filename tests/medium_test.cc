@@ -282,6 +282,99 @@ TEST(SharedMediumTest, RemoveQueryFreesSpecOwnedWorkload) {
   EXPECT_TRUE(medium.RunCycles(5).ok());
 }
 
+// ---- the shared routing substrate ------------------------------------------------
+
+TEST(SharedMediumTest, InnetSubstrateSharedPerWorkloadTreesAndSummary) {
+  auto topo = net::Topology::Random(100, 7.0, 42);
+  ASSERT_TRUE(topo.ok());
+  SelectivityParams sel{0.5, 0.5, 0.2};
+  auto wl = *Workload::MakeQuery1(&*topo, sel, 3, 7);
+  auto twin = *Workload::MakeQuery1(&*topo, sel, 3, 7);  // separate object
+  ExecutorOptions innet;
+  innet.algorithm = Algorithm::kInnet;
+  innet.assumed = sel;
+  ExecutorOptions cmg = innet;
+  cmg.features = InnetFeatures::Cmg();
+  ExecutorOptions two_trees = innet;
+  two_trees.num_trees = 2;
+  ExecutorOptions exact = innet;
+  exact.summary_type = routing::SummaryType::kExact;
+  ExecutorOptions base = innet;
+  base.algorithm = Algorithm::kBase;
+
+  SharedMedium medium(&*topo, {});
+  std::vector<int> ids;
+  auto admit = [&](const Workload* w, const ExecutorOptions& o) {
+    auto exec = medium.TryAddQuery(w, o);
+    ASSERT_TRUE(exec.ok());
+    ASSERT_TRUE((*exec)->Initiate().ok());
+    ids.push_back((*exec)->query_id());
+  };
+  admit(&wl, innet);
+  EXPECT_EQ(medium.num_substrates(), 1);
+  admit(&wl, cmg);  // same key, other algorithm options: reused
+  EXPECT_EQ(medium.num_substrates(), 1);
+  admit(&twin, innet);
+  EXPECT_EQ(medium.num_substrates(), 2);
+  admit(&wl, two_trees);
+  EXPECT_EQ(medium.num_substrates(), 3);
+  admit(&wl, exact);
+  EXPECT_EQ(medium.num_substrates(), 4);
+  admit(&wl, base);  // non-Innet queries use the medium's primary tree
+  EXPECT_EQ(medium.num_substrates(), 4);
+  ASSERT_TRUE(medium.RunCycles(5).ok());
+
+  // The first holder's departure keeps the substrate alive for the second;
+  // the last holder's departure frees it and drops its entry.
+  ASSERT_TRUE(medium.RemoveQuery(ids[0]).ok());
+  EXPECT_EQ(medium.num_substrates(), 4);
+  ASSERT_TRUE(medium.RemoveQuery(ids[1]).ok());
+  EXPECT_EQ(medium.num_substrates(), 3);
+  for (size_t i = 2; i < ids.size(); ++i) {
+    ASSERT_TRUE(medium.RemoveQuery(ids[i]).ok());
+  }
+  EXPECT_EQ(medium.num_substrates(), 0);
+}
+
+TEST(SharedMediumTest, ChurnReturnsSubstrateCountToBaseline) {
+  // Residents hold their substrates for the whole run; waves of arrivals
+  // over the residents' workloads reuse them, arrivals over a fresh
+  // workload add one, and every wave's departure returns the count to the
+  // residents' baseline.
+  auto topo = net::Topology::Random(100, 7.0, 42);
+  ASSERT_TRUE(topo.ok());
+  SelectivityParams sel{0.5, 0.5, 0.2};
+  auto q1 = *Workload::MakeQuery1(&*topo, sel, 3, 7);
+  auto q2 = *Workload::MakeQuery2(&*topo, sel, 3, 9);
+  ExecutorOptions opts;
+  opts.algorithm = Algorithm::kInnet;
+  opts.features = InnetFeatures::Cm();
+  opts.assumed = sel;
+  opts.knobs.tree_mode = common::TreeMode::kShared;
+  MediumOptions mopts;
+  mopts.knobs.tree_mode = common::TreeMode::kShared;
+  SharedMedium medium(&*topo, {}, mopts);
+  ASSERT_TRUE(medium.TryAddQuery(&q1, opts).ok());
+  ASSERT_TRUE(medium.InitiateAll().ok());
+  const int baseline = medium.num_substrates();
+  EXPECT_EQ(baseline, 1);
+  for (int wave = 0; wave < 3; ++wave) {
+    auto fresh = *Workload::MakeQuery1(&*topo, sel, 3, 20 + wave);
+    std::vector<int> arrivals;
+    for (const Workload* w : {&q1, &q2, &q1, &fresh, &q2}) {
+      auto exec = medium.TryAddQuery(w, opts);
+      ASSERT_TRUE(exec.ok());
+      ASSERT_TRUE((*exec)->Initiate().ok());
+      arrivals.push_back((*exec)->query_id());
+    }
+    EXPECT_EQ(medium.num_substrates(), baseline + 2);  // q2 and fresh
+    ASSERT_TRUE(medium.RunCycles(4).ok());
+    for (int id : arrivals) ASSERT_TRUE(medium.RemoveQuery(id).ok());
+    EXPECT_EQ(medium.num_substrates(), baseline) << "wave " << wave;
+    ASSERT_TRUE(medium.RunCycles(2).ok());
+  }
+}
+
 }  // namespace
 }  // namespace join
 }  // namespace aspen

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <climits>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -474,6 +475,171 @@ TEST(MultiTreeExactIndexTest, ConstructionChargesMatchMaterializedSummaries) {
         ASSERT_TRUE(uncharged.IndexAttribute(attr).ok());
         EXPECT_EQ(uncharged.construction_bytes(), charged.construction_bytes());
       }
+    }
+  }
+}
+
+// ---- bounded KMB metric closure -------------------------------------------------
+//
+// BuildSharedSteinerTree stops each closure BFS at its last terminal. The
+// oracle is the unbounded construction it replaced: whole-graph hop
+// distances from the source and from every terminal.
+
+net::MulticastRoute ReferenceSteinerTree(const net::Topology& topo,
+                                         NodeId source,
+                                         const std::vector<NodeId>& targets) {
+  net::MulticastRoute route;
+  std::vector<NodeId> terms = targets;
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  const bool source_is_target =
+      std::binary_search(terms.begin(), terms.end(), source);
+  std::vector<NodeId> steiner;
+  for (NodeId t : terms) {
+    if (t != source) steiner.push_back(t);
+  }
+  if (steiner.empty()) {
+    if (source_is_target) route.targets.push_back(source);
+    return route;
+  }
+  const std::vector<int> from_source = topo.HopDistancesFrom(source);
+  std::vector<std::vector<int>> from_term(steiner.size());
+  for (size_t i = 0; i < steiner.size(); ++i) {
+    from_term[i] = topo.HopDistancesFrom(steiner[i]);
+  }
+  const size_t n = steiner.size();
+  std::vector<int> best(n, INT_MAX);
+  std::vector<int> attach(n, -1);
+  std::vector<char> in_tree(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const int d = from_source[steiner[i]];
+    if (d >= 0) best[i] = d;
+  }
+  auto attach_id = [&](int a) { return a < 0 ? source : steiner[a]; };
+  std::vector<std::pair<int, int>> mst;
+  for (size_t round = 0; round < n; ++round) {
+    int pick = -1;
+    for (size_t i = 0; i < n; ++i) {
+      if (in_tree[i] || best[i] == INT_MAX) continue;
+      if (pick < 0 || best[i] < best[pick] ||
+          (best[i] == best[pick] && steiner[i] < steiner[pick])) {
+        pick = static_cast<int>(i);
+      }
+    }
+    if (pick < 0) break;
+    in_tree[pick] = 1;
+    mst.emplace_back(attach[pick], pick);
+    const std::vector<int>& dp = from_term[pick];
+    for (size_t i = 0; i < n; ++i) {
+      if (in_tree[i]) continue;
+      const int d = dp[steiner[i]];
+      if (d < 0) continue;
+      if (d < best[i] ||
+          (d == best[i] && steiner[pick] < attach_id(attach[i]))) {
+        best[i] = d;
+        attach[i] = pick;
+      }
+    }
+  }
+  std::set<std::pair<NodeId, NodeId>> edges;
+  for (const auto& [a, t] : mst) {
+    const std::vector<NodeId> path =
+        topo.ShortestPath(attach_id(a), steiner[t]);
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      edges.insert({path[i], path[i + 1]});
+      edges.insert({path[i + 1], path[i]});
+    }
+  }
+  std::map<NodeId, std::vector<NodeId>> adj;
+  for (const auto& [a, b] : edges) adj[a].push_back(b);
+  std::map<NodeId, NodeId> parent;
+  std::vector<NodeId> frontier{source};
+  parent[source] = source;
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId u = frontier[head];
+    for (NodeId v : adj[u]) {
+      if (parent.find(v) == parent.end()) {
+        parent[v] = u;
+        frontier.push_back(v);
+      }
+    }
+  }
+  std::set<std::pair<NodeId, NodeId>> tree_edges;
+  for (NodeId t : terms) {
+    if (t == source) {
+      route.targets.push_back(t);
+      continue;
+    }
+    if (parent.find(t) == parent.end()) continue;
+    route.targets.push_back(t);
+    for (NodeId u = t; u != source; u = parent[u]) {
+      tree_edges.insert({parent[u], u});
+    }
+  }
+  route.edges.assign(tree_edges.begin(), tree_edges.end());
+  route.Normalize();
+  return route;
+}
+
+/// Two 6x6 grid blocks far apart, plus two isolated nodes: three kinds of
+/// component, so most terminal sets mix reachable and unreachable nodes.
+net::Topology DisconnectedTopology() {
+  std::vector<net::Point> pts;
+  for (double x0 : {0.0, 200.0}) {
+    for (int r = 0; r < 6; ++r) {
+      for (int c = 0; c < 6; ++c) pts.push_back({x0 + 10.0 * c, 10.0 * r});
+    }
+  }
+  pts.push_back({120.0, 120.0});
+  pts.push_back({120.0, 250.0});
+  auto topo = net::Topology::FromPositions(std::move(pts), 15.0);
+  EXPECT_TRUE(topo.ok());
+  EXPECT_FALSE(topo->IsConnected());
+  return *std::move(topo);
+}
+
+TEST(SharedSteinerTreeTest, BoundedClosureMatchesUnboundedKmb) {
+  struct Case {
+    const char* name;
+    net::Topology topo;
+  };
+  std::vector<Case> cases;
+  for (uint64_t seed : {3ULL, 17ULL}) {
+    cases.push_back({"random", *net::Topology::Random(150, 7.0, seed)});
+  }
+  cases.push_back({"grid", *net::Topology::Grid(12, 12)});
+  cases.push_back({"disconnected", DisconnectedTopology()});
+  for (const Case& c : cases) {
+    const int n = c.topo.num_nodes();
+    Rng rng(0x5EED ^ static_cast<uint64_t>(n));
+    int unreachable_cases = 0;
+    for (int k = 1; k <= 20; ++k) {
+      for (int draw = 0; draw < 4; ++draw) {
+        const NodeId source = static_cast<NodeId>(rng.UniformInt(n));
+        std::vector<NodeId> targets;
+        for (int i = 0; i < k; ++i) {
+          targets.push_back(static_cast<NodeId>(rng.UniformInt(n)));
+        }
+        // Every other draw names the source among its targets.
+        if (draw % 2 == 1) targets[rng.UniformInt(k)] = source;
+        SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k) +
+                     " draw=" + std::to_string(draw));
+        const net::MulticastRoute want =
+            ReferenceSteinerTree(c.topo, source, targets);
+        const net::MulticastRoute got =
+            BuildSharedSteinerTree(c.topo, source, targets);
+        EXPECT_EQ(got.edges, want.edges);
+        EXPECT_EQ(got.targets, want.targets);
+        std::set<NodeId> distinct(targets.begin(), targets.end());
+        if (want.targets.size() < distinct.size()) ++unreachable_cases;
+      }
+    }
+    // Connected topologies reach every target; the disconnected one must
+    // exercise the unreachable-terminal path.
+    if (c.topo.IsConnected()) {
+      EXPECT_EQ(unreachable_cases, 0);
+    } else {
+      EXPECT_GT(unreachable_cases, 0);
     }
   }
 }
