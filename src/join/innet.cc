@@ -778,11 +778,13 @@ void JoinExecutor::RunReopt() {
 void JoinExecutor::AdvancePlannedMigrations() {
   if (planned_migrations_.empty()) return;
   size_t kept = 0;
+  bool flipped = false;
   for (size_t i = 0; i < planned_migrations_.size(); ++i) {
     PlannedMigration m = planned_migrations_[i];
     bool keep;
     if (m.phase == 0) {
       keep = StartMigrationTransfer(&m);
+      flipped |= keep;
     } else {
       // Phase 3 (complete): the transfer message was delivered — and its
       // windows applied at the new site — during the previous transmit
@@ -797,6 +799,11 @@ void JoinExecutor::AdvancePlannedMigrations() {
     if (keep) planned_migrations_[kept++] = m;
   }
   planned_migrations_.resize(kept);
+  // A flipped placement changes its producers' destination sets, and
+  // multicast sends ride the cached trees, not the send plans.
+  if (flipped && opts_.features.multicast) {
+    BuildMulticastRoutes(/*charge_traffic=*/true);
+  }
 }
 
 bool JoinExecutor::StartMigrationTransfer(PlannedMigration* m) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "adapt/reopt.h"
 #include "core/engine.h"
@@ -82,18 +83,31 @@ Workload ShiftedWorkload(const net::Topology& topo) {
   return wl;
 }
 
-RunStats RunShifted(const net::Topology& topo, int shards, int depth,
-                    double loss) {
-  Workload wl = ShiftedWorkload(topo);
+ExecutorOptions ShiftedOptions(InnetFeatures features, bool instant) {
   ExecutorOptions opts;
   opts.algorithm = Algorithm::kInnet;
-  opts.features = InnetFeatures::None();  // ungrouped: the planned protocol
+  opts.features = features;
   opts.assumed = kBefore;
-  opts.loss_prob = loss;
   opts.seed = 42;
+  if (instant) {
+    opts.learning = true;
+    opts.reestimate_interval = 10;
+  } else {
+    opts.knobs.reopt_interval = 10;
+  }
+  return opts;
+}
+
+// Ungrouped planned runs by default: every relocation takes the planned
+// protocol.
+RunStats RunShifted(const net::Topology& topo, int shards, int depth,
+                    double loss, InnetFeatures features = InnetFeatures::None(),
+                    bool instant = false) {
+  Workload wl = ShiftedWorkload(topo);
+  ExecutorOptions opts = ShiftedOptions(features, instant);
+  opts.loss_prob = loss;
   opts.knobs.shards = shards;
   opts.knobs.pipeline_depth = depth;
-  opts.knobs.reopt_interval = 10;
   Result<RunStats> st = core::RunExperiment(wl, opts, kCycles);
   EXPECT_TRUE(st.ok()) << st.status().ToString();
   return st.ok() ? *st : RunStats();
@@ -119,20 +133,41 @@ void ExpectIdentical(const RunStats& a, const RunStats& b,
   EXPECT_EQ(a.planned_migrations, b.planned_migrations) << what;
 }
 
-TEST(ReoptMigrationTest, PlannedMigrationPreservesResults) {
+TEST(ReoptMigrationTest, MigrationPreservesResults) {
   auto topo = *net::Topology::Random(80, 7.0, 11);
-  RunStats st = RunShifted(topo, /*shards=*/1, /*depth=*/1, /*loss=*/0.0);
-  // The shift drives the live estimates past the 33% trigger, so a pass
-  // replans and at least one pair relocates through the three-phase
-  // protocol (announce, window transfer, plan flip)...
-  EXPECT_GT(st.reopt_passes, 0u);
-  EXPECT_GT(st.planned_migrations, 0u);
-  EXPECT_GE(st.migrations, st.planned_migrations);
-  // ...without losing or duplicating a single result: the run matches the
-  // loss-free reference join exactly, including across the transfer cycles
-  // where the pair's window state is in flight between sites.
-  Workload reference = ShiftedWorkload(topo);
-  EXPECT_EQ(st.results, testing_util::ReferenceResults(reference, kCycles));
+  const uint64_t reference =
+      testing_util::ReferenceResults(ShiftedWorkload(topo), kCycles);
+  const std::pair<const char*, InnetFeatures> variants[] = {
+      {"Innet", InnetFeatures::None()},
+      {"Innet-cm", InnetFeatures::Cm()},
+      {"Innet-cmp", InnetFeatures::Cmp()},
+      {"Innet-cmg", InnetFeatures::Cmg()},
+  };
+  for (const auto& [name, features] : variants) {
+    for (bool instant : {false, true}) {
+      const bool planned = !instant;
+      const std::string what =
+          std::string(name) + (planned ? " planned" : " instant");
+      RunStats st = RunShifted(topo, /*shards=*/1, /*depth=*/1, /*loss=*/0.0,
+                               features, instant);
+      // The shift drives the live estimates past the 33% trigger, so a
+      // pass replans and at least one pair relocates — ungrouped pairs
+      // under the planned policy through announce, window transfer and
+      // plan flip, grouped ones through the MPO round...
+      EXPECT_GT(st.migrations, 0u) << what;
+      if (planned && !features.group_opt) {
+        EXPECT_GT(st.reopt_passes, 0u) << what;
+        EXPECT_GT(st.planned_migrations, 0u) << what;
+        EXPECT_GE(st.migrations, st.planned_migrations) << what;
+      }
+      // ...without losing or duplicating a single result: the run matches
+      // the loss-free reference join exactly, including across the
+      // transfer cycles where the pair's window state is in flight, and
+      // after a move of a multicast variant, whose producers send along
+      // per-producer trees rather than the send plans.
+      EXPECT_EQ(st.results, reference) << what;
+    }
+  }
 }
 
 TEST(ReoptMigrationTest, FrozenPlacementsNeverMigrate) {
