@@ -29,8 +29,8 @@ int main() {
 
   for (double threshold : {0.05, 0.15, 0.33, 0.50, 0.75, 2.0}) {
     auto opts = base_opts;
-    opts.learning = true;
-    opts.divergence_threshold = threshold;
+    opts.knobs.UsePaperLearning();
+    opts.knobs.reopt_threshold = threshold;
     auto agg = OrDie(core::RunAveraged(factory, opts, cycles, runs));
     double pct = (baseline.total_bytes - agg.total_bytes) /
                  baseline.total_bytes * 100.0;

@@ -31,7 +31,7 @@ void GainLossMatrix(const TrueFactory& factory, double sigma_st, int window,
       auto wl_factory = [&](uint64_t seed) { return factory(truth, seed); };
       auto off_opts = MakeOptions(cmpg, assumed);
       auto on_opts = off_opts;
-      on_opts.learning = true;
+      on_opts.knobs.UsePaperLearning();
       auto off = OrDie(core::RunAveraged(wl_factory, off_opts, cycles, runs));
       auto on = OrDie(core::RunAveraged(wl_factory, on_opts, cycles, runs));
       double delta_pct =

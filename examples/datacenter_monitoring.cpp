@@ -39,7 +39,7 @@ int main() {
   opts.features = join::InnetFeatures::Cmg();
   // Act 1: no knowledge — assume everything matches all the time.
   opts.assumed = {1.0, 1.0, 1.0};
-  opts.learning = true;
+  opts.knobs.UsePaperLearning();
 
   // The query runs alone on a medium configured exactly as
   // core::RunExperiment would host it.

@@ -1,16 +1,17 @@
-// The continuous re-optimization loop (Section 6 closed at runtime).
+// The re-optimization loop of Section 6, paced per query.
 //
-// A query's plan used to be frozen at admission: the cost model and the
-// selectivity estimators ran once, up front, and the paper's 33%-divergence
-// trigger was never consulted again. ReoptController is the per-query piece
-// that closes the loop: it paces periodic re-estimation off the query's own
-// learn ticks (so a query admitted mid-run on a shared medium re-optimizes
-// on *its* clock, not the medium's), gates each pass on the divergence
+// Join nodes learn selectivities, and a pair is re-placed once an estimate
+// drifts past the paper's 33% trigger. ReoptController is the per-query
+// piece that paces that loop: it counts the query's own learn ticks (so a
+// query admitted mid-run on a shared medium re-optimizes on *its* clock,
+// not the medium's), arms a pass every `interval` ticks and a counter reset
+// every `counter_reset_interval` ticks, gates each pair on the divergence
 // trigger, and accounts the planned migrations the executor derives from a
-// pass. The executor consumes it from the scheduler's sequential
-// re-optimize hook (sim::CycleParticipant::OnReoptimize), so every decision
-// is made in the exchange phase with nothing in flight — which is what
-// keeps migrations byte-identical across shard counts and pipeline depths.
+// pass. The executor runs the armed work from one sequential phase — the
+// learn phase under the instant migration policy, the next cycle's
+// re-optimize phase under the planned one — so every decision is made with
+// nothing in flight, which keeps migrations byte-identical across shard
+// counts and pipeline depths.
 
 #ifndef ASPEN_ADAPT_REOPT_H_
 #define ASPEN_ADAPT_REOPT_H_
@@ -23,29 +24,34 @@
 namespace aspen {
 namespace adapt {
 
-/// \brief Paces and gates one query's continuous re-optimization.
+/// \brief Paces and gates one query's re-optimization.
 ///
 /// Tick() is called once per learn phase (after estimators ticked); the
-/// controller arms itself every `interval` ticks. The executor's
-/// re-optimize hook drains the armed flag with TakeDue() and runs a pass:
-/// for each placement it asks ShouldReplan() whether the live estimate
-/// diverged from the estimate the placement was chosen with, and only then
-/// re-runs the cost model. `interval <= 0` disables the loop entirely.
+/// controller arms a pass every `interval` ticks and a counter reset every
+/// `counter_reset_interval` ticks. The executor drains the armed flags with
+/// TakeDue() and TakeReset(): a pass asks ShouldReplan() per placement
+/// whether the live estimate diverged from the estimate the placement was
+/// chosen with, and only then re-runs the cost model. An interval of 0
+/// never arms.
 class ReoptController {
  public:
   ReoptController() = default;
-  ReoptController(int interval, double threshold)
-      : interval_(interval), threshold_(threshold) {}
+  ReoptController(int interval, double threshold,
+                  int counter_reset_interval = 0)
+      : interval_(interval),
+        threshold_(threshold),
+        reset_interval_(counter_reset_interval) {}
 
   bool enabled() const { return interval_ > 0; }
   int interval() const { return interval_; }
   double threshold() const { return threshold_; }
 
-  /// One learn phase elapsed for this query. Arms a pass every `interval`
-  /// ticks (query-local, so mid-run admission does not skew the period).
+  /// One learn phase elapsed for this query (query-local, so mid-run
+  /// admission does not skew the periods).
   void Tick() {
-    if (!enabled()) return;
-    if (++ticks_ % interval_ == 0) due_ = true;
+    ++ticks_;
+    if (interval_ > 0 && ticks_ % interval_ == 0) due_ = true;
+    if (reset_interval_ > 0 && ticks_ % reset_interval_ == 0) reset_ = true;
   }
 
   /// True exactly once per armed period: the caller runs a pass now.
@@ -54,6 +60,14 @@ class ReoptController {
     due_ = false;
     if (due) ++passes_;
     return due;
+  }
+
+  /// True exactly once per armed reset period: the caller resets the
+  /// estimator counters now, after any pass armed on the same tick.
+  bool TakeReset() {
+    const bool reset = reset_;
+    reset_ = false;
+    return reset;
   }
 
   /// The paper's Section 6 trigger: replan a pair only when the fresh
@@ -77,8 +91,10 @@ class ReoptController {
  private:
   int interval_ = 0;
   double threshold_ = 0.33;
+  int reset_interval_ = 0;
   int64_t ticks_ = 0;
   bool due_ = false;
+  bool reset_ = false;
   uint64_t passes_ = 0;     ///< armed periods consumed via TakeDue()
   uint64_t planned_ = 0;    ///< migrations entered into the 3-phase protocol
   uint64_t completed_ = 0;  ///< migrations that finished all three phases

@@ -7,8 +7,9 @@
 // now all embed one RunKnobs, so a knob exists in exactly one place, the
 // env-variable parsing lives in exactly one bench helper
 // (benchutil::KnobsFromEnv: ASPEN_SHARDS / ASPEN_PIPELINE / ASPEN_REOPT),
-// and new run-wide knobs (the re-optimization interval below) are added
-// once instead of three times.
+// and new run-wide knobs are added once instead of three times. The four
+// adaptation knobs (reopt_interval, reopt_threshold, migration,
+// counter_reset_interval) live here and nowhere else.
 
 #ifndef ASPEN_COMMON_RUN_KNOBS_H_
 #define ASPEN_COMMON_RUN_KNOBS_H_
@@ -30,6 +31,18 @@ enum class TreeMode {
   kShared,
 };
 
+/// \brief How a re-optimization pass relocates a pair whose placement must
+/// move (DESIGN.md "Re-optimization (Section 6)").
+enum class Migration {
+  /// The three-phase protocol: announce, window transfer, complete. The
+  /// pass armed at a learn tick runs in the next cycle's re-optimize phase,
+  /// and data keeps flowing to the old site until the transfer.
+  kPlanned,
+  /// The paper's Section 6 move: window state and producer plans move at
+  /// once, in the learn phase that armed the pass.
+  kInstant,
+};
+
 /// \brief Run-shape knobs shared by executor, medium and experiment options.
 struct RunKnobs {
   /// Spatial shard count: K > 1 partitions the node space into K contiguous
@@ -49,24 +62,42 @@ struct RunKnobs {
   /// from its query instead and ignores this field.
   int sample_interval = 100;
 
-  /// Continuous re-optimization period, in sampling cycles: every
-  /// `reopt_interval` cycles the executor re-estimates selectivities from
-  /// live traffic and, where the estimate diverged past `reopt_threshold`,
-  /// re-runs the cost model and executes a planned placement migration
-  /// (DESIGN.md "Continuous re-optimization"). 0 disables the loop — the
-  /// plan stays frozen at admission, the pre-reopt behavior.
+  /// Re-optimization period, in the query's own learn ticks: every
+  /// `reopt_interval` ticks a pass re-estimates selectivities at the join
+  /// nodes and, where an estimate diverged past `reopt_threshold`, re-runs
+  /// the cost model and relocates the pair by `migration` (DESIGN.md
+  /// "Re-optimization (Section 6)"). 0 keeps the plan frozen at admission;
+  /// negative values are rejected.
   int reopt_interval = 0;
 
   /// Relative divergence between a live estimate and the estimate the
-  /// current placement was chosen with that arms a re-optimization pass
-  /// for a pair. The paper's Section 6 trigger: 33%.
+  /// current placement was chosen with that makes a pass replan a pair.
+  /// The paper's Section 6 trigger: 33%.
   double reopt_threshold = 0.33;
+
+  /// How a pair that must move moves, and in which sequential phase the
+  /// armed pass runs.
+  Migration migration = Migration::kPlanned;
+
+  /// Learn ticks between resets of the join nodes' estimator counters, so
+  /// estimates track a local time span. 0 never resets; negative values are
+  /// rejected.
+  int counter_reset_interval = 0;
 
   /// Producer multicast tree policy (ASPEN_TREE_MODE: "per_source" |
   /// "shared"). kShared turns on both shared Steiner trees and
   /// cross-query placement sharing; kPerSource is byte-identical to the
   /// pre-sharing behavior.
   TreeMode tree_mode = TreeMode::kPerSource;
+
+  /// The paper's Section 6 learning settings: instant migration, a pass
+  /// every 25 learn ticks, counters reset every 200. Leaves every other
+  /// knob, the threshold included, as it is.
+  void UsePaperLearning() {
+    migration = Migration::kInstant;
+    reopt_interval = 25;
+    counter_reset_interval = 200;
+  }
 };
 
 }  // namespace common

@@ -50,7 +50,8 @@ JoinExecutor::JoinExecutor(const workload::Workload* workload,
   ASPEN_CHECK(&net_->topology() == &workload->topology());
   scratch_.resize(medium->scheduler()->num_shards());
   reopt_ = adapt::ReoptController(opts_.knobs.reopt_interval,
-                                  opts_.knobs.reopt_threshold);
+                                  opts_.knobs.reopt_threshold,
+                                  opts_.knobs.counter_reset_interval);
   data_pool_ = net_->payloads().GetOrCreate<DataPayload>(kPayloadTagData);
   result_pool_ =
       net_->payloads().GetOrCreate<ResultPayload>(kPayloadTagResult);
@@ -293,6 +294,7 @@ Status JoinExecutor::Initiate() {
     // Re-optimization passes run in the steady state: pre-size the pass
     // scratch and the in-flight protocol table so neither grows later.
     reopt_diverged_.reserve(placements_.size());
+    reopt_groups_.reserve(groups_.size());
     planned_migrations_.reserve(placements_.size());
   }
   // Pre-grow the payload slabs to the steady-state in-flight high-water
@@ -1068,9 +1070,8 @@ Status JoinExecutor::OnReoptimize(int cycle) {
   common::SequentialPhaseScope seq;
   net::TrafficStats::QueryScope scope(&net_->stats(), query_id_);
   AdvancePlannedMigrations();
-  if (opts_.algorithm == Algorithm::kInnet && !opts_.oracle &&
-      reopt_.TakeDue()) {
-    RunReopt();
+  if (opts_.knobs.migration == common::Migration::kPlanned) {
+    RunArmedAdaptation();
   }
   return Status::OK();
 }
@@ -1082,11 +1083,19 @@ Status JoinExecutor::OnLearn(int cycle) {
   common::SequentialPhaseScope seq;
   net::TrafficStats::QueryScope scope(&net_->stats(), query_id_);
   ForEachState([](NodeId, PairState& st) { st.estimator.Tick(); });
-  ++learn_ticks_;
   reopt_.Tick();
-  if (opts_.learning) RunLearning();
+  if (opts_.knobs.migration == common::Migration::kInstant) {
+    RunArmedAdaptation();
+  }
   cycle_ = cycle + 1;
   return Status::OK();
+}
+
+void JoinExecutor::RunArmedAdaptation() {
+  if (opts_.algorithm == Algorithm::kInnet && reopt_.TakeDue()) RunReopt();
+  if (reopt_.TakeReset()) {
+    ForEachState([](NodeId, PairState& st) { st.estimator.Reset(); });
+  }
 }
 
 RunStats JoinExecutor::Stats() const {
@@ -1109,7 +1118,11 @@ RunStats JoinExecutor::Stats() const {
   out.max_result_delay_cycles = delay_max_;
   out.migrations = migrations_;
   out.failovers = failovers_;
-  out.reopt_passes = reopt_.passes();
+  // Only planned passes are reported: golden_run_test pins 0 passes for
+  // runs of the paper's instant learning loop.
+  out.reopt_passes =
+      opts_.knobs.migration == common::Migration::kPlanned ? reopt_.passes()
+                                                           : 0;
   out.planned_migrations = reopt_.completed();
   out.init_latency_cycles = init_latency_;
   out.sampling_cycles = cycle_;

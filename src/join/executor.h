@@ -85,9 +85,9 @@ class JoinExecutor : public sim::CycleParticipant,
   int query_id() const { return query_id_; }
   bool initiated() const { return initiated_; }
 
-  /// The continuous re-optimization controller: pass/migration counters at
-  /// protocol granularity (planned() ticks at the announce cycle,
-  /// completed() two cycles later — RunStats only carries the completions).
+  /// The re-optimization controller: pass/migration counters at protocol
+  /// granularity (planned() ticks at the announce cycle, completed() two
+  /// cycles later — RunStats only carries the completions).
   const adapt::ReoptController& reopt() const { return reopt_; }
 
   /// All statically-joining pairs this executor serves.
@@ -102,8 +102,8 @@ class JoinExecutor : public sim::CycleParticipant,
     std::vector<net::NodeId> path;
     /// Index of join_node within path (-1 if not path-based).
     int path_index = -1;
-    /// Estimates the current placement was computed with (learning compares
-    /// fresh estimates against these).
+    /// Estimates the current placement was computed with (a
+    /// re-optimization pass compares fresh estimates against these).
     workload::SelectivityParams placed_with;
     /// The pairwise cost-model decision, before any group (MPO) override.
     bool pairwise_at_base = true;
@@ -251,21 +251,20 @@ class JoinExecutor : public sim::CycleParticipant,
     }
   }
 
-  // -- learning & failure -------------------------------------------------------
-  void RunLearning() ASPEN_REQUIRES_SEQUENTIAL;
+  // -- re-optimization (Section 6) & failure ----------------------------------
   /// Moves a pair's windows between join locations, charging the transfer.
   void MoveState(const PairKey& pair, net::NodeId from, net::NodeId to,
                  bool charge) ASPEN_REQUIRES_SEQUENTIAL;
+  /// The instant relocation: state and producer plans move at once.
   void MigratePair(PairPlacement* placement, bool new_at_base,
                    net::NodeId new_join, int new_index)
       ASPEN_REQUIRES_SEQUENTIAL;
-  // -- continuous re-optimization (Section 6 closed at runtime) ----------------
   /// One placement relocation in flight through the planned three-phase
   /// protocol: announced (producers notified, transfer route interned),
   /// transferring (window state shipped as a real kWindowTransfer message,
   /// send plans flipped at the next cycle boundary), complete (route
-  /// reference released to the epoch GC). See DESIGN.md "Continuous
-  /// re-optimization".
+  /// reference released to the epoch GC). See DESIGN.md "Re-optimization
+  /// (Section 6)".
   struct PlannedMigration {
     PairKey pair;
     bool new_at_base = true;
@@ -277,11 +276,14 @@ class JoinExecutor : public sim::CycleParticipant,
     uint8_t phase = 0;  ///< 0 = announced, 1 = transfer in flight
   };
 
-  /// One re-optimization pass (reopt controller armed): re-estimates
-  /// selectivities per held placement and, where the estimate diverged past
-  /// the threshold, re-runs the pairwise cost model and announces a planned
-  /// migration. Grouped pairs (Innet-g) reconcile through the MPO
-  /// coordinator round instead, as in the learning path.
+  /// Runs the work the controller armed, in the policy's phase: the pass
+  /// (Innet only), then the estimator counter reset.
+  void RunArmedAdaptation() ASPEN_REQUIRES_SEQUENTIAL;
+  /// One re-optimization pass: re-estimates selectivities per held
+  /// placement and, where the estimate diverged past the threshold, re-runs
+  /// the pairwise cost model and relocates the pair by the migration
+  /// policy. Grouped pairs (Innet-g) reconcile through the MPO coordinator
+  /// round under either policy.
   void RunReopt() ASPEN_REQUIRES_SEQUENTIAL;
   /// Advances every in-flight planned migration by one phase.
   void AdvancePlannedMigrations() ASPEN_REQUIRES_SEQUENTIAL;
@@ -381,15 +383,6 @@ class JoinExecutor : public sim::CycleParticipant,
   /// Placement index -> index into groups_ (-1 when ungrouped).
   std::vector<int32_t> pair_group_;
   int group_decision_seq_ = 0;
-  /// Reused scratch for RunLearning's re-estimation pass, so a steady
-  /// state where estimates keep drifting past the divergence threshold
-  /// still allocates nothing once the vectors are warm.
-  struct PlannedReestimate {
-    PairKey pair;
-    workload::SelectivityParams est;
-  };
-  std::vector<PlannedReestimate> reestimate_scratch_;
-  std::vector<int32_t> affected_groups_scratch_;
 
   /// Typed payload pools on the network's data plane (shared by every
   /// executor on a medium). Not owned.
@@ -479,16 +472,13 @@ class JoinExecutor : public sim::CycleParticipant,
     PairKey pair;
     workload::SelectivityParams est;
   };
-  /// RunReopt scratch, pre-reserved at initiation: a pass that finds
-  /// divergence but migrates nothing is a steady-state cycle and must not
-  /// allocate.
+  /// RunReopt scratch (diverged placements; MPO groups to reconcile,
+  /// sorted), pre-reserved at initiation: a pass that finds divergence but
+  /// migrates nothing is a steady-state cycle and must not allocate.
   std::vector<FreshEstimate> reopt_diverged_;
-  /// Learn phases this query has run — its *own* clock, so interval
-  /// triggers (re-estimation, counter reset, re-optimization) are correct
-  /// for queries admitted mid-run on a shared medium. Equals cycle + 1
-  /// inside OnLearn for a cycle-0 admission.
-  int learn_ticks_ = 0;
-  /// Paces and gates continuous re-optimization (knobs.reopt_interval).
+  std::vector<int32_t> reopt_groups_;
+  /// Paces re-optimization and counter resets on the query's own learn
+  /// ticks (the adaptation knobs of ExecutorOptions::knobs).
   adapt::ReoptController reopt_;
   int cycle_ = 0;
   uint64_t results_ = 0;

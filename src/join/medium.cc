@@ -13,18 +13,20 @@ namespace join {
 
 Status ValidateOptions(const ExecutorOptions& options,
                        const MediumOptions& medium) {
-  auto at_least_one = [](int value, const char* name) {
-    return value >= 1 ? Status::OK()
-                      : Status::InvalidArgument(
-                            std::string(name) + " must be at least 1, got " +
-                            std::to_string(value));
+  auto at_least = [](int value, int floor, const char* name) {
+    return value >= floor
+               ? Status::OK()
+               : Status::InvalidArgument(
+                     std::string(name) + " must be at least " +
+                     std::to_string(floor) + ", got " +
+                     std::to_string(value));
   };
   ASPEN_RETURN_NOT_OK(
-      at_least_one(options.reestimate_interval, "reestimate_interval"));
-  ASPEN_RETURN_NOT_OK(
-      at_least_one(options.counter_reset_interval, "counter_reset_interval"));
-  ASPEN_RETURN_NOT_OK(at_least_one(options.num_trees, "num_trees"));
-  return at_least_one(medium.knobs.sample_interval, "sample_interval");
+      at_least(options.knobs.reopt_interval, 0, "reopt_interval"));
+  ASPEN_RETURN_NOT_OK(at_least(options.knobs.counter_reset_interval, 0,
+                               "counter_reset_interval"));
+  ASPEN_RETURN_NOT_OK(at_least(options.num_trees, 1, "num_trees"));
+  return at_least(medium.knobs.sample_interval, 1, "sample_interval");
 }
 
 net::NetworkOptions NetworkOptionsFor(const ExecutorOptions& options) {
@@ -298,9 +300,10 @@ uint64_t SharedMedium::FingerprintQuery(const JoinExecutor& exec) const {
   // the normalized predicate text, window shape, workload identity (every
   // generation input the workload holds at admission: seed, default
   // parameters, per-node overrides, global switch), algorithm and its
-  // feature/placement options, and (mixed in by ClaimPairs) the pair key
-  // itself. It is a snapshot: a parameter change after admission does not
-  // re-key the pair.
+  // feature/placement options, the adaptation knobs that decide whether
+  // and how the placement moves later, and (mixed in by ClaimPairs) the
+  // pair key itself. It is a snapshot: a parameter change after admission
+  // does not re-key the pair.
   uint64_t h = 0xCBF29CE484222325ULL;
   auto mix = [&h](uint64_t v) { h = FnvMix(h, v); };
   auto mix_double = [&mix](double d) {
@@ -327,7 +330,10 @@ uint64_t SharedMedium::FingerprintQuery(const JoinExecutor& exec) const {
   mix_double(o.assumed.sigma_st);
   mix(o.oracle ? 1 : 0);
   mix(static_cast<uint64_t>(o.summary_type));
-  mix(o.learning ? 1 : 0);
+  mix(static_cast<uint64_t>(o.knobs.migration));
+  mix(static_cast<uint64_t>(o.knobs.reopt_interval));
+  mix_double(o.knobs.reopt_threshold);
+  mix(static_cast<uint64_t>(o.knobs.counter_reset_interval));
   mix(static_cast<uint64_t>(o.num_trees));
   mix(o.mesh_mode ? 1 : 0);
   mix_double(o.loss_prob);

@@ -63,7 +63,8 @@ struct MediumOptions {
   /// equal it); `knobs.shards` and `knobs.pipeline_depth` configure the
   /// scheduler's worker-parallel phases and cross-cycle sample pipelining,
   /// with byte-identical results for every value. The medium itself
-  /// ignores `knobs.reopt_*` — continuous re-optimization is per query
+  /// ignores the adaptation knobs (`reopt_interval`, `reopt_threshold`,
+  /// `migration`, `counter_reset_interval`) — re-optimization is per query
   /// (ExecutorOptions::knobs).
   common::RunKnobs knobs;
   /// Permit RunCycles with zero live queries. A service run idles between
@@ -77,10 +78,11 @@ struct MediumOptions {
   net::DataPlane* data_plane = nullptr;
 };
 
-/// \brief Rejects knob values no run can execute, as InvalidArgument:
-/// learning intervals, the routing substrate width or the sampling clock
-/// below 1. Shard count and pipeline depth are clamped by the scheduler,
-/// never rejected. Called by TryAddQuery and by the front doors that build
+/// \brief Rejects knob values no run can execute, as InvalidArgument: a
+/// negative re-optimization or counter-reset interval (0 means frozen or
+/// never reset), or a routing substrate width or sampling clock below 1.
+/// Shard count and pipeline depth are clamped by the scheduler, never
+/// rejected. Called by TryAddQuery and by the front doors that build
 /// a medium (core::RunExperiment, core::ServiceRunner::Create).
 Status ValidateOptions(const ExecutorOptions& options,
                        const MediumOptions& medium);

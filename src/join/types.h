@@ -60,16 +60,6 @@ struct ExecutorOptions {
   /// Summary structure indexing the primary join key (ablation knob).
   routing::SummaryType summary_type = routing::SummaryType::kBloom;
 
-  /// Section 6: learn selectivities at join nodes and re-optimize.
-  bool learning = false;
-  /// Trigger re-placement when an estimate diverges by more than this
-  /// fraction from the value the current placement used (paper: 33%).
-  double divergence_threshold = 0.33;
-  /// Sampling cycles between re-estimations at join nodes.
-  int reestimate_interval = 25;
-  /// Counters reset period ("learning within a local time span").
-  int counter_reset_interval = 200;
-
   /// Routing substrate width for Innet exploration.
   int num_trees = 3;
 
@@ -83,12 +73,14 @@ struct ExecutorOptions {
   int max_retries = 3;
 
   /// Run-shape knobs shared with MediumOptions / core::ServiceOptions
-  /// (common/run_knobs.h). The continuous re-optimization loop is per
-  /// query, so every executor reads its own `knobs.reopt_interval` /
-  /// `knobs.reopt_threshold` / `knobs.tree_mode`. Sharding, pipelining and
-  /// the sampling clock belong to the hosting medium's scheduler
-  /// (join::MediumOptions::knobs); core::RunExperiment copies them from
-  /// here into the one-query medium it runs.
+  /// (common/run_knobs.h). Re-optimization (Section 6) is per query, so
+  /// every executor reads its own adaptation knobs (`reopt_interval`,
+  /// `reopt_threshold`, `migration`, `counter_reset_interval`) and
+  /// `tree_mode`; `knobs.UsePaperLearning()` selects the paper's learning
+  /// loop. Sharding, pipelining and the sampling clock belong to the
+  /// hosting medium's scheduler (join::MediumOptions::knobs);
+  /// core::RunExperiment copies them from here into the one-query medium
+  /// it runs.
   common::RunKnobs knobs;
 
   uint64_t seed = 1;
@@ -119,7 +111,7 @@ struct RunStats {
   // Adaptivity.
   uint64_t migrations = 0;       ///< join-node relocations (Section 6)
   uint64_t failovers = 0;        ///< pairs switched to base after failure
-  uint64_t reopt_passes = 0;     ///< continuous re-optimization passes
+  uint64_t reopt_passes = 0;     ///< re-optimization passes (planned policy)
   uint64_t planned_migrations = 0;  ///< migrations via the 3-phase protocol
   // Initiation latency (transmission cycles until execution could start).
   int init_latency_cycles = 0;

@@ -128,18 +128,19 @@ class CycleParticipant {
 
   /// Re-optimize phase: runs after deliver and before learn, strictly
   /// sequential with nothing in flight (the transmit loop drained and
-  /// every deliver commit applied). This is where continuous
-  /// re-optimization advances planned placement migrations and — on its
-  /// period — re-runs the cost model against live estimates: decisions
-  /// made here see identical state for every shard count and pipeline
-  /// depth, which is what keeps migrations byte-identical. Not invoked
-  /// during the straggler drain after the last cycle.
+  /// every deliver commit applied). This is where planned placement
+  /// migrations advance and — on its period — the planned policy's
+  /// re-optimization pass re-runs the cost model against live estimates:
+  /// decisions made here see identical state for every shard count and
+  /// pipeline depth, which is what keeps migrations byte-identical. Not
+  /// invoked during the straggler drain after the last cycle.
   virtual Status OnReoptimize(int cycle) {
     (void)cycle;
     return Status::OK();
   }
 
-  /// Learn phase: estimator ticks, adaptation, window advance.
+  /// Learn phase: estimator ticks and the instant policy's
+  /// re-optimization pass.
   virtual Status OnLearn(int cycle) {
     (void)cycle;
     return Status::OK();

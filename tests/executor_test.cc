@@ -282,8 +282,8 @@ TEST(LearningTest, WrongEstimatesTriggerMigrations) {
   auto wl = Workload::MakeQuery0(&topo, truth, 10, 3, 7);
   ASSERT_TRUE(wl.ok());
   ExecutorOptions opts = Opts(Algorithm::kInnet, {}, wrong);
-  opts.learning = true;
-  opts.reestimate_interval = 10;
+  opts.knobs.UsePaperLearning();
+  opts.knobs.reopt_interval = 10;
   SoloQuery solo(&*wl, opts);
   JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
@@ -299,8 +299,8 @@ TEST(LearningTest, LearningReducesTrafficUnderWrongEstimates) {
   auto wl2 = *Workload::MakeQuery0(&topo, truth, 10, 3, 7);
   ExecutorOptions fixed = Opts(Algorithm::kInnet, {}, wrong);
   ExecutorOptions learn = fixed;
-  learn.learning = true;
-  learn.reestimate_interval = 10;
+  learn.knobs.UsePaperLearning();
+  learn.knobs.reopt_interval = 10;
   auto without = core::RunExperiment(wl1, fixed, 300);
   auto with = core::RunExperiment(wl2, learn, 300);
   ASSERT_TRUE(without.ok() && with.ok());
@@ -314,8 +314,8 @@ TEST(LearningTest, CorrectEstimatesStayPut) {
   auto wl = Workload::MakeQuery0(&topo, truth, 10, 3, 7);
   ASSERT_TRUE(wl.ok());
   ExecutorOptions opts = Opts(Algorithm::kInnet, {}, truth);
-  opts.learning = true;
-  opts.reestimate_interval = 20;
+  opts.knobs.UsePaperLearning();
+  opts.knobs.reopt_interval = 20;
   SoloQuery solo(&*wl, opts);
   JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());

@@ -196,9 +196,11 @@ uint64_t RowDigest(int query, const Config& c, int shards, int depth) {
       e.features = c.features;
       e.mesh_mode = c.mesh;
       e.assumed = c.learning ? kWrong : c.reopt ? kTruth : kSel;
-      e.learning = c.learning;
-      e.reestimate_interval = 5;
-      e.counter_reset_interval = 20;
+      if (c.learning) {
+        e.knobs.UsePaperLearning();
+        e.knobs.reopt_interval = 5;
+        e.knobs.counter_reset_interval = 20;
+      }
       e.loss_prob = loss;
       e.seed = 3;
       e.knobs.shards = shards;

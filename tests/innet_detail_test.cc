@@ -185,9 +185,9 @@ TEST(LearningTest, CountersResetPeriodically) {
   auto wl = Workload::MakeQuery0(&topo, sel, 5, 3, 7);
   ASSERT_TRUE(wl.ok());
   auto opts = Opts(Algorithm::kInnet, {}, sel);
-  opts.learning = true;
-  opts.counter_reset_interval = 10;
-  opts.reestimate_interval = 5;
+  opts.knobs.UsePaperLearning();
+  opts.knobs.counter_reset_interval = 10;
+  opts.knobs.reopt_interval = 5;
   SoloQuery solo(&*wl, opts);
   JoinExecutor& exec = solo.exec;
   ASSERT_TRUE(exec.Initiate().ok());
@@ -209,8 +209,8 @@ TEST(LearningTest, MigrationTransfersWindowLosslessly) {
     auto wl = Workload::MakeQuery0(&topo, truth, 8, 3, seed);
     ASSERT_TRUE(wl.ok());
     auto opts = Opts(Algorithm::kInnet, InnetFeatures::Cmg(), wrong);
-    opts.learning = true;
-    opts.reestimate_interval = 10;
+    opts.knobs.UsePaperLearning();
+    opts.knobs.reopt_interval = 10;
     SoloQuery solo(&*wl, opts);
     JoinExecutor& exec = solo.exec;
     ASSERT_TRUE(exec.Initiate().ok());

@@ -356,8 +356,8 @@ class SubstrateReuseTest
     ExecutorOptions b = a;
     b.features.group_opt = true;
     b.assumed = {0.05, 0.9, 0.2};
-    b.learning = true;
-    b.reestimate_interval = 5;
+    b.knobs.UsePaperLearning();
+    b.knobs.reopt_interval = 5;
     return {a, b};
   }
 
@@ -490,6 +490,46 @@ TEST(MediumEquivalenceTest, SharingKeysOnEveryGenerationInput) {
               testing_util::ReferenceResults(*wl, kCycles))
         << "query " << i;
   }
+}
+
+TEST(MediumEquivalenceTest, SharingKeysOnAdaptationKnobs) {
+  // One Workload object, two Innet-cm queries: the first frozen, the second
+  // re-optimizing every 5 cycles across a rate swap. A shared placement
+  // would freeze the second query on the owner's plan, so none may be
+  // shared, and the second query must behave exactly as it does alone.
+  const int kCycles = 60;
+  auto topo = *net::Topology::Random(100, 7.0, 42);
+  const SelectivityParams before{0.1, 1.0, 0.2};
+  auto wl = *Workload::MakeQuery1(&topo, before, 3, 7);
+  wl.SetGlobalSwitch(20, {1.0, 0.1, 0.2});
+  ExecutorOptions frozen;
+  frozen.algorithm = Algorithm::kInnet;
+  frozen.features = InnetFeatures::Cm();
+  frozen.assumed = before;
+  frozen.knobs.tree_mode = common::TreeMode::kShared;
+  ExecutorOptions adaptive = frozen;
+  adaptive.knobs.reopt_interval = 5;
+
+  auto solo = core::RunExperiment(wl, adaptive, kCycles);
+  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+  ASSERT_GT(solo->migrations, 0u);
+
+  MediumOptions mopts;
+  mopts.knobs.tree_mode = common::TreeMode::kShared;
+  SharedMedium medium(&topo, {}, mopts);
+  auto first = medium.TryAddQuery(&wl, frozen);
+  auto second = medium.TryAddQuery(&wl, adaptive);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_TRUE(medium.InitiateAll().ok());
+  EXPECT_EQ(medium.num_shared_placements(), 0);
+  ASSERT_TRUE(medium.RunCycles(kCycles).ok());
+  // query_bytes is not compared: the second query adopts the multicast
+  // trees the first already installed, without paying for them.
+  const RunStats got = (*second)->Stats();
+  EXPECT_EQ(got.results, solo->results);
+  EXPECT_EQ(got.migrations, solo->migrations);
+  EXPECT_EQ(got.planned_migrations, solo->planned_migrations);
+  EXPECT_EQ(got.reopt_passes, solo->reopt_passes);
 }
 
 }  // namespace

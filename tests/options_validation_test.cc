@@ -1,9 +1,11 @@
 // Knob values are user input: each one either runs or returns a Status,
-// never a crash. Learning intervals, the routing substrate width and the
-// sampling clock below 1 are rejected as InvalidArgument by every front
-// door that builds or joins a medium (core::RunExperiment,
-// core::ServiceRunner::Create, SharedMedium::TryAddQuery). Shard count and
-// pipeline depth are clamped by the scheduler, so 0 runs as 1.
+// never a crash. Negative re-optimization and counter-reset intervals, and
+// a routing substrate width or sampling clock below 1, are rejected as
+// InvalidArgument by every front door that builds or joins a medium
+// (core::RunExperiment, core::ServiceRunner::Create,
+// SharedMedium::TryAddQuery); an interval of 0 means frozen or never reset.
+// Shard count and pipeline depth are clamped by the scheduler, so 0 runs
+// as 1.
 
 #include <gtest/gtest.h>
 
@@ -42,20 +44,37 @@ class OptionsValidationTest : public ::testing::Test {
   Workload wl_;
 };
 
-TEST_F(OptionsValidationTest, ZeroReestimateIntervalIsInvalid) {
+TEST_F(OptionsValidationTest, NegativeReoptIntervalIsInvalid) {
   ExecutorOptions opts = InnetOptions();
-  opts.learning = true;
-  opts.reestimate_interval = 0;
+  opts.knobs.UsePaperLearning();
+  opts.knobs.reopt_interval = -1;
   auto st = core::RunExperiment(wl_, opts, 5);
   EXPECT_TRUE(st.status().IsInvalidArgument()) << st.status().ToString();
 }
 
-TEST_F(OptionsValidationTest, ZeroCounterResetIntervalIsInvalid) {
+TEST_F(OptionsValidationTest, NegativeCounterResetIntervalIsInvalid) {
   ExecutorOptions opts = InnetOptions();
-  opts.learning = true;
-  opts.counter_reset_interval = 0;
+  opts.knobs.UsePaperLearning();
+  opts.knobs.counter_reset_interval = -1;
   auto st = core::RunExperiment(wl_, opts, 5);
   EXPECT_TRUE(st.status().IsInvalidArgument()) << st.status().ToString();
+}
+
+TEST_F(OptionsValidationTest, ZeroIntervalsRunFrozenAndNeverReset) {
+  // 0 is a setting, not an error: no pass is ever armed and the counters
+  // never restart, under either migration policy.
+  for (common::Migration migration :
+       {common::Migration::kPlanned, common::Migration::kInstant}) {
+    ExecutorOptions opts = InnetOptions();
+    opts.knobs.migration = migration;
+    opts.knobs.reopt_interval = 0;
+    opts.knobs.counter_reset_interval = 0;
+    auto st = core::RunExperiment(wl_, opts, 10);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    EXPECT_GT(st->results, 0u);
+    EXPECT_EQ(st->migrations, 0u);
+    EXPECT_EQ(st->reopt_passes, 0u);
+  }
 }
 
 TEST_F(OptionsValidationTest, ZeroTreesIsInvalid) {
@@ -68,8 +87,8 @@ TEST_F(OptionsValidationTest, ZeroTreesIsInvalid) {
 TEST_F(OptionsValidationTest, TryAddQueryRejectsInvalidOptionsCleanly) {
   join::SharedMedium medium(&topo_, {});
   ExecutorOptions opts = InnetOptions();
-  opts.learning = true;
-  opts.reestimate_interval = 0;
+  opts.knobs.UsePaperLearning();
+  opts.knobs.reopt_interval = -1;
   auto rejected = medium.TryAddQuery(&wl_, opts);
   EXPECT_TRUE(rejected.status().IsInvalidArgument());
   EXPECT_EQ(medium.num_queries(), 0);

@@ -1,9 +1,10 @@
-// Continuous re-optimization: the ReoptController's pacing and divergence
+// Re-optimization (Section 6): the ReoptController's pacing and divergence
 // gate, the planned three-phase migration protocol (announce → transfer →
-// complete), and the determinism contract with the loop enabled — a run
-// that migrates placements mid-flight must stay byte-identical across
-// shard counts and pipeline depths, and must not lose or duplicate a
-// single join result across the transfer cycles.
+// complete), both migration policies against the reference join, and the
+// determinism contract with the loop enabled — a run that migrates
+// placements mid-flight must stay byte-identical across shard counts and
+// pipeline depths, and must not lose or duplicate a single join result
+// across the transfer cycles.
 
 #include <gtest/gtest.h>
 
@@ -83,28 +84,26 @@ Workload ShiftedWorkload(const net::Topology& topo) {
   return wl;
 }
 
-ExecutorOptions ShiftedOptions(InnetFeatures features, bool instant) {
+ExecutorOptions ShiftedOptions(InnetFeatures features,
+                               common::Migration migration) {
   ExecutorOptions opts;
   opts.algorithm = Algorithm::kInnet;
   opts.features = features;
   opts.assumed = kBefore;
   opts.seed = 42;
-  if (instant) {
-    opts.learning = true;
-    opts.reestimate_interval = 10;
-  } else {
-    opts.knobs.reopt_interval = 10;
-  }
+  opts.knobs.migration = migration;
+  opts.knobs.reopt_interval = 10;
   return opts;
 }
 
 // Ungrouped planned runs by default: every relocation takes the planned
 // protocol.
-RunStats RunShifted(const net::Topology& topo, int shards, int depth,
-                    double loss, InnetFeatures features = InnetFeatures::None(),
-                    bool instant = false) {
+RunStats RunShifted(
+    const net::Topology& topo, int shards, int depth, double loss,
+    InnetFeatures features = InnetFeatures::None(),
+    common::Migration migration = common::Migration::kPlanned) {
   Workload wl = ShiftedWorkload(topo);
-  ExecutorOptions opts = ShiftedOptions(features, instant);
+  ExecutorOptions opts = ShiftedOptions(features, migration);
   opts.loss_prob = loss;
   opts.knobs.shards = shards;
   opts.knobs.pipeline_depth = depth;
@@ -144,12 +143,13 @@ TEST(ReoptMigrationTest, MigrationPreservesResults) {
       {"Innet-cmg", InnetFeatures::Cmg()},
   };
   for (const auto& [name, features] : variants) {
-    for (bool instant : {false, true}) {
-      const bool planned = !instant;
+    for (common::Migration migration :
+         {common::Migration::kPlanned, common::Migration::kInstant}) {
+      const bool planned = migration == common::Migration::kPlanned;
       const std::string what =
           std::string(name) + (planned ? " planned" : " instant");
       RunStats st = RunShifted(topo, /*shards=*/1, /*depth=*/1, /*loss=*/0.0,
-                               features, instant);
+                               features, migration);
       // The shift drives the live estimates past the 33% trigger, so a
       // pass replans and at least one pair relocates — ungrouped pairs
       // under the planned policy through announce, window transfer and
@@ -168,6 +168,21 @@ TEST(ReoptMigrationTest, MigrationPreservesResults) {
       EXPECT_EQ(st.results, reference) << what;
     }
   }
+}
+
+TEST(ReoptMigrationTest, PlannedWithCounterResetMatchesReference) {
+  // Planned migration over estimators that restart every 20 learn ticks:
+  // resets ride with the pass in the re-optimize phase, and relocations
+  // still lose no result.
+  auto topo = *net::Topology::Random(80, 7.0, 11);
+  Workload wl = ShiftedWorkload(topo);
+  ExecutorOptions opts =
+      ShiftedOptions(InnetFeatures::Cm(), common::Migration::kPlanned);
+  opts.knobs.counter_reset_interval = 20;
+  Result<RunStats> st = core::RunExperiment(wl, opts, kCycles);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  EXPECT_GT(st->planned_migrations, 0u);
+  EXPECT_EQ(st->results, testing_util::ReferenceResults(wl, kCycles));
 }
 
 TEST(ReoptMigrationTest, FrozenPlacementsNeverMigrate) {

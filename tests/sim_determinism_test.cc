@@ -46,7 +46,7 @@ TEST(SchedulerDeterminismTest, SameSeedSameStats) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.UsePaperLearning();
   opts.loss_prob = 0.05;  // exercise the RNG-dependent paths
   opts.seed = 42;
 
@@ -94,7 +94,7 @@ TEST(SchedulerDeterminismTest, PipelinedStatsMatchSequential) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.UsePaperLearning();
   opts.loss_prob = 0.05;  // exercise the RNG-dependent paths
   opts.seed = 42;
 
@@ -212,7 +212,7 @@ TEST(SchedulerDeterminismTest, RunAveragedInvariantAcrossThreadCounts) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.UsePaperLearning();
 
   auto serial = core::RunAveraged(factory, opts, 30, 9, 1, /*num_threads=*/1);
   auto parallel4 =

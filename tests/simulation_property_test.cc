@@ -76,7 +76,7 @@ TEST(DeterminismTest, IdenticalSeedsIdenticalRuns) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.UsePaperLearning();
   opts.loss_prob = 0.05;  // even stochastic loss is seed-deterministic
   opts.seed = 17;
   auto run = [&]() {
