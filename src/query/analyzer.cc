@@ -1,5 +1,8 @@
 #include "query/analyzer.h"
 
+#include <algorithm>
+#include <string>
+
 #include "common/logging.h"
 
 namespace aspen {
@@ -40,6 +43,21 @@ ExprPtr ToNnf(const ExprPtr& e, bool negate) {
       // Non-boolean leaf used as a truth value.
       return negate ? Expr::Not(e) : e;
   }
+}
+
+// Clauses CnfClauses(e) would return for an NNF expression, saturated at
+// kMaxCnfClauses + 1 so the count stays small whatever the nesting.
+size_t CnfClauseCount(const ExprPtr& e) {
+  constexpr size_t kOver = kMaxCnfClauses + 1;
+  if (e->op() == ExprOp::kAnd) {
+    return std::min(kOver, CnfClauseCount(e->children()[0]) +
+                               CnfClauseCount(e->children()[1]));
+  }
+  if (e->op() == ExprOp::kOr) {
+    return std::min(kOver, CnfClauseCount(e->children()[0]) *
+                               CnfClauseCount(e->children()[1]));
+  }
+  return 1;
 }
 
 // CNF of an NNF expression, as a list of clauses.
@@ -164,8 +182,14 @@ Result<QueryAnalysis> Analyze(const JoinQuery& q) {
   if (q.window.size < 1) {
     return Status::InvalidArgument("Analyze: window size must be >= 1");
   }
+  const ExprPtr nnf = ToNnf(q.where, /*negate=*/false);
+  if (CnfClauseCount(nnf) > kMaxCnfClauses) {
+    return Status::InvalidArgument(
+        "Analyze: WHERE predicate expands to more than " +
+        std::to_string(kMaxCnfClauses) + " CNF clauses");
+  }
   QueryAnalysis out;
-  out.cnf = ToCnf(q.where);
+  out.cnf = CnfClauses(nnf);
 
   for (const auto& clause : out.cnf) {
     const bool refs_s = clause->ReferencesSide(Side::kS);

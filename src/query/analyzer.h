@@ -6,6 +6,7 @@
 #ifndef ASPEN_QUERY_ANALYZER_H_
 #define ASPEN_QUERY_ANALYZER_H_
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -38,7 +39,14 @@ struct JoinQuery {
 /// \brief Converts a boolean expression to conjunctive normal form:
 /// NOTs pushed to leaves (De Morgan), OR distributed over AND. Returns the
 /// list of conjunct clauses (each clause may contain ORs but no ANDs).
+/// The clause count is unbounded here; Analyze caps it.
 std::vector<ExprPtr> ToCnf(const ExprPtr& expr);
+
+/// Most CNF clauses a WHERE predicate may expand to. Distributing OR over
+/// AND multiplies clause counts, so k ORed two-clause conjunctions expand
+/// to 2^k clauses; Analyze rejects a predicate past this cap, before
+/// building any clause.
+constexpr size_t kMaxCnfClauses = 1024;
 
 /// \brief The routable primary join predicate identified by the pattern
 /// matcher.

@@ -195,6 +195,33 @@ TEST(AnalyzerTest, RejectsNullAndBadWindow) {
   EXPECT_FALSE(Analyze(q).ok());
 }
 
+// k ORed two-clause conjunctions: 2^k clauses once OR distributes.
+ExprPtr OrOfConjunctions(int k) {
+  ExprPtr e;
+  for (int i = 0; i < k; ++i) {
+    ExprPtr both = Expr::And(Expr::Eq(S(kAttrX), Expr::Const(i)),
+                             Expr::Eq(T(kAttrY), Expr::Const(i)));
+    e = e == nullptr ? both : Expr::Or(e, both);
+  }
+  return e;
+}
+
+TEST(AnalyzerTest, CnfClauseCapAcceptsLimitRejectsLimitPlusOne) {
+  static_assert(kMaxCnfClauses == 1024, "the cases below assume 2^10");
+  JoinQuery q;
+  q.where = OrOfConjunctions(10);
+  auto at_limit = Analyze(q);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->cnf.size(), kMaxCnfClauses);
+  // One more conjunct: 1,024 + 1 clauses.
+  q.where = Expr::And(q.where, Expr::Eq(S(kAttrU), T(kAttrU)));
+  auto over = Analyze(q);
+  EXPECT_TRUE(over.status().IsInvalidArgument()) << over.status().ToString();
+  // Distribution doubles the count, so one more disjunct is also over.
+  q.where = OrOfConjunctions(11);
+  EXPECT_TRUE(Analyze(q).status().IsInvalidArgument());
+}
+
 TEST(AnalyzerTest, NoRoutablePrimaryForDynamicOnlyJoin) {
   JoinQuery q;
   q.where = Expr::Eq(S(kAttrU), T(kAttrU));

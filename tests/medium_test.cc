@@ -1,3 +1,4 @@
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -254,6 +255,30 @@ TEST(SharedMediumTest, QuerySpecBadSqlRejectedNothingRegistered) {
   spec.options.assumed = spec.params;
   EXPECT_TRUE(medium.TryAddQuery(spec).ok());
   EXPECT_EQ(medium.num_queries(), 1);
+}
+
+TEST(SharedMediumTest, QuerySpecCnfBlowupRejectedNothingRegistered) {
+  // An OR of 12 two-clause conjunctions expands to 4,096 CNF clauses, past
+  // the analyzer's cap: rejected as a Status before any clause is built.
+  auto topo = net::Topology::Random(40, 7.0, 3);
+  ASSERT_TRUE(topo.ok());
+  SharedMedium medium(&*topo, {});
+  std::string where;
+  for (int i = 0; i < 12; ++i) {
+    if (i > 0) where += " OR ";
+    where += "(S.x = " + std::to_string(i) + " AND T.y = " +
+             std::to_string(i) + ")";
+  }
+  SharedMedium::QuerySpec spec;
+  spec.sql = "SELECT S.id, T.id, S.time FROM S, T "
+             "[windowsize=3 sampleinterval=100] WHERE " + where;
+  spec.params = {0.5, 0.5, 0.2};
+  spec.options.assumed = spec.params;
+  auto rejected = medium.TryAddQuery(spec);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument())
+      << rejected.status().ToString();
+  EXPECT_EQ(medium.num_queries(), 0);
 }
 
 TEST(SharedMediumTest, RemoveQueryFreesSpecOwnedWorkload) {
