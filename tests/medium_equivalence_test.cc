@@ -311,6 +311,40 @@ TEST(MediumEquivalenceTest, SharedPlacementDetachPromotesSubscriber) {
   EXPECT_EQ(after.sampling_cycles, solo.sampling_cycles);
 }
 
+TEST(MediumEquivalenceTest, PromotedOwnerReoptimizesLosslessly) {
+  // A promoted owner's pairs belong to no MPO group: under Innet-cmg with
+  // the instant policy they take the pairwise decision, and the moves made
+  // after promotion lose no result.
+  const int kHead = 10, kTail = 50;
+  auto topo = *net::Topology::Random(100, 7.0, 42);
+  const SelectivityParams before{0.1, 1.0, 0.2};
+  auto wl = *Workload::MakeQuery1(&topo, before, 3, 7);
+  wl.SetGlobalSwitch(20, {1.0, 0.1, 0.2});
+  ExecutorOptions opts;
+  opts.algorithm = Algorithm::kInnet;
+  opts.features = InnetFeatures::Cmg();
+  opts.assumed = before;
+  opts.knobs.tree_mode = common::TreeMode::kShared;
+  opts.knobs.UsePaperLearning();
+  opts.knobs.reopt_interval = 5;
+
+  MediumOptions mopts;
+  mopts.knobs.tree_mode = common::TreeMode::kShared;
+  SharedMedium medium(&topo, {}, mopts);
+  auto owner = medium.TryAddQuery(&wl, opts);
+  auto sub = medium.TryAddQuery(&wl, opts);
+  ASSERT_TRUE(owner.ok() && sub.ok());
+  ASSERT_TRUE(medium.InitiateAll().ok());
+  ASSERT_GT(medium.num_shared_placements(), 0);
+  ASSERT_TRUE(medium.RunCycles(kHead).ok());
+  ASSERT_TRUE(medium.RemoveQuery((*owner)->query_id()).ok());
+  ASSERT_TRUE(medium.RunCycles(kTail).ok());
+
+  const RunStats st = (*sub)->Stats();
+  EXPECT_GT(st.migrations, 0u);
+  EXPECT_EQ(st.results, testing_util::ReferenceResults(wl, kHead + kTail));
+}
+
 // ---- one Workload object, one shared routing substrate ---------------------------
 
 /// Every RunStats field, compared exactly.
