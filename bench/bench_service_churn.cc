@@ -8,8 +8,9 @@
 // This is the service-mode acceptance harness (DESIGN.md "Query
 // lifecycle") and doubles as the CI leak gate: the bench exits non-zero
 // when route/multicast occupancy fails to return to the post-first-wave
-// baseline, when occupancy grows monotonically across waves, or when the
-// steady tail block (run after the last departure) touches the heap.
+// baseline, when occupancy grows monotonically across waves, when heap in
+// use grows past its per-departure allowance after the first wave, or when
+// the steady tail block (run after the last departure) touches the heap.
 //
 // Output: console summary + BENCH_service_churn.json. With
 // ASPEN_STATS_OUT set, a deterministic digest for the shard 1-vs-4
@@ -18,8 +19,11 @@
 //
 // `--smoke` shrinks the mesh and the churn horizon for CI.
 
+#include <malloc.h>
+
 #include <chrono>
 #include <cstdlib>
+#include <vector>
 
 #include "bench/alloc_audit.h"
 #include "bench/bench_util.h"
@@ -27,10 +31,43 @@
 #include "join/medium.h"
 #include "net/topology.h"
 #include "scenario/dynamics.h"
+#include "sim/cycle_scheduler.h"
 #include "workload/workload.h"
 
 namespace aspen {
 namespace {
+
+/// Reads heap in use (glibc mallinfo2, summed over every arena) in the
+/// learn phase of the last cycle of each churn wave. Every instance of a
+/// wave departs strictly inside it, so each sample sees only the residents
+/// live; what grows from one sample to the next is what departures leave
+/// behind.
+class HeapProbe : public sim::CycleParticipant {
+ public:
+  HeapProbe(int first_wave_end, int wave_period, int waves)
+      : first_wave_end_(first_wave_end),
+        wave_period_(wave_period),
+        waves_(waves) {
+    samples_.reserve(waves);
+  }
+
+  Status OnLearn(int cycle) override {
+    if (cycle >= first_wave_end_ &&
+        (cycle - first_wave_end_) % wave_period_ == 0 &&
+        samples_.size() < static_cast<size_t>(waves_)) {
+      samples_.push_back(mallinfo2().uordblks);
+    }
+    return Status::OK();
+  }
+
+  const std::vector<size_t>& samples() const { return samples_; }
+
+ private:
+  int first_wave_end_;
+  int wave_period_;
+  int waves_;
+  std::vector<size_t> samples_;
+};
 
 int Main(int argc, char** argv) {
   const bool smoke = benchutil::ConsumeSmokeFlag(&argc, argv);
@@ -102,8 +139,10 @@ int Main(int argc, char** argv) {
   opts.medium.knobs.tree_mode = opts.executor.knobs.tree_mode;
   opts.dynamics = &full;
 
+  HeapProbe heap_probe(churn_start + wave_period - 1, wave_period, waves);
   auto runner =
       benchutil::OrDie(core::ServiceRunner::Create(templates, opts));
+  runner->medium().scheduler()->Attach(&heap_probe);
 
   const int churn_horizon = churn_start + waves * wave_period;
   auto t0 = std::chrono::steady_clock::now();
@@ -172,6 +211,35 @@ int Main(int argc, char** argv) {
                  routes_grew ? "route occupancy" : "payload capacity");
     ++failures;
   }
+  // Heap gate: from the post-first-wave sample to the last, heap in use
+  // may grow by a departed query's ledger record per departure in between
+  // (about 540 B measured on the full run), plus a one-off allowance for
+  // pooled capacity a later wave may still add (payload slots and their
+  // tuple buffers, route-table slots: 7-22 KB on the two-wave smoke run).
+  // Per-node state kept per departed query (8 B x nodes: 12.8 KB on the
+  // smoke mesh, 80 KB on the full one) exceeds it.
+  constexpr int64_t kHeapBytesPerDeparture = 2048;
+  constexpr int64_t kHeapWarmupBytes = 28 * 1024;
+  const std::vector<size_t>& heap = heap_probe.samples();
+  const int heap_departures = (waves - 1) * per_wave;
+  const int64_t heap_allowance =
+      kHeapWarmupBytes + kHeapBytesPerDeparture * heap_departures;
+  const int64_t heap_growth =
+      heap.empty() ? 0
+                   : static_cast<int64_t>(heap.back()) -
+                         static_cast<int64_t>(heap.front());
+  if (heap.size() != static_cast<size_t>(waves)) {
+    std::fprintf(stderr, "GATE FAIL: missing heap samples (%zu of %d)\n",
+                 heap.size(), waves);
+    ++failures;
+  } else if (heap_growth > heap_allowance) {
+    std::fprintf(stderr,
+                 "GATE FAIL: heap in use grew %lld B over %d departures "
+                 "(allowance %lld B)\n",
+                 static_cast<long long>(heap_growth), heap_departures,
+                 static_cast<long long>(heap_allowance));
+    ++failures;
+  }
   const uint64_t alloc_bound = shards > 1 ? shards : 0;
   if (tail_allocs > alloc_bound) {
     std::fprintf(stderr,
@@ -201,6 +269,10 @@ int Main(int argc, char** argv) {
   std::printf("payload pools         %zu live / %zu slots at end\n",
               fin.payload_live, fin.payload_capacity);
   std::printf("frame slab            %zu slots\n", fin.frame_capacity);
+  std::printf("heap growth           %lld B over %d departures after "
+              "wave 1 (allowance %lld B)\n",
+              static_cast<long long>(heap_growth), heap_departures,
+              static_cast<long long>(heap_allowance));
   std::printf("steady-tail allocs    %llu\n",
               static_cast<unsigned long long>(tail_allocs));
   std::printf("leak gate             %s\n", failures == 0 ? "PASS" : "FAIL");

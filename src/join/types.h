@@ -103,7 +103,10 @@ struct RunStats {
   /// query runs alone).
   uint64_t query_bytes = 0;
   uint64_t query_messages = 0;
-  std::vector<uint64_t> top_node_loads;  ///< 15 most-loaded nodes (Fig 5)
+  /// Loads of the 15 most-loaded nodes (Figure 5), descending. They come
+  /// from the medium-wide per-node counters: on a shared medium every
+  /// co-resident query reports the medium's top loads, not its own.
+  std::vector<uint64_t> top_node_loads;
   // Results.
   uint64_t results = 0;
   double avg_result_delay_cycles = 0.0;  ///< sampling cycles sample->base

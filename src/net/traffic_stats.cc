@@ -67,9 +67,12 @@ std::vector<uint64_t> TrafficStats::TopLoadedNodes(int k) const {
   for (const auto& n : per_node_) {
     loads.push_back(n.bytes_sent + n.bytes_received);
   }
-  std::sort(loads.begin(), loads.end(), std::greater<>());
-  if (static_cast<int>(loads.size()) > k) loads.resize(k);
-  return loads;
+  // Select into a k-sized result: callers keep it (departed queries' stats
+  // live on in the medium's ledger), so it must not hold n slots.
+  std::vector<uint64_t> top(std::min(loads.size(), static_cast<size_t>(k)));
+  std::partial_sort_copy(loads.begin(), loads.end(), top.begin(), top.end(),
+                         std::greater<>());
+  return top;
 }
 
 void TrafficStats::Reset() {

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -305,6 +307,31 @@ TEST(SharedMediumTest, RemoveQueryFreesSpecOwnedWorkload) {
   ASSERT_TRUE(again.ok());
   ASSERT_TRUE(medium.InitiateAll().ok());
   EXPECT_TRUE(medium.RunCycles(5).ok());
+}
+
+TEST(SharedMediumTest, DepartedRecordHoldsOnlyTopLoads) {
+  // The ledger keeps every departed query's stats for the medium's
+  // lifetime, so a record must not carry per-node scratch: its top loads
+  // hold 15 entries, not one slot per node of the 10k grid.
+  auto topo = net::Topology::Grid(100, 100, 2560.0);
+  ASSERT_TRUE(topo.ok());
+  SelectivityParams sel{0.5, 0.5, 0.2};
+  auto wl = *Workload::MakeQuery0(&*topo, sel, 20, 3, 7);
+  ExecutorOptions opts;
+  opts.algorithm = Algorithm::kBase;
+  opts.assumed = sel;
+  opts.mesh_mode = true;
+  SharedMedium medium(&*topo, {});
+  auto admitted = medium.TryAddQuery(&wl, opts);
+  ASSERT_TRUE(admitted.ok());
+  ASSERT_TRUE(medium.InitiateAll().ok());
+  ASSERT_TRUE(medium.RunCycles(3).ok());
+  ASSERT_TRUE(medium.RemoveQuery((*admitted)->query_id()).ok());
+  ASSERT_EQ(medium.ledger().size(), 1u);
+  const std::vector<uint64_t>& top = medium.ledger()[0].stats.top_node_loads;
+  EXPECT_EQ(top.size(), 15u);
+  EXPECT_LE(top.capacity(), 15u);
+  EXPECT_TRUE(std::is_sorted(top.rbegin(), top.rend()));
 }
 
 // ---- the shared routing substrate ------------------------------------------------
