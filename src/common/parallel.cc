@@ -1,10 +1,7 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -19,30 +16,8 @@ int DefaultThreadCount() {
 void ParallelFor(int n, int num_threads, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   if (num_threads <= 0) num_threads = DefaultThreadCount();
-  num_threads = std::min(num_threads, n);
-  if (num_threads == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (int t = 1; t < num_threads; ++t) threads.emplace_back(worker);
-  worker();
-  for (auto& th : threads) th.join();
-  if (first_error) std::rethrow_exception(first_error);
+  WorkerPool pool(std::min(num_threads, n) - 1);
+  pool.Run(n, fn);
 }
 
 WorkerPool::WorkerPool(int num_workers) {
@@ -79,14 +54,7 @@ void WorkerPool::WorkerLoop() {
       job = job_;
       size = job_size_;
     }
-    for (int i = next_index_.fetch_add(1); i < size;
-         i = next_index_.fetch_add(1)) {
-      try {
-        (*job)(i);
-      } catch (...) {
-        RecordError();
-      }
-    }
+    Drain(size, *job);
     {
       MutexLock lock(&mu_);
       if (--inflight_workers_ == 0) job_done_.NotifyOne();
@@ -94,35 +62,19 @@ void WorkerPool::WorkerLoop() {
   }
 }
 
-void WorkerPool::Run(int n, const std::function<void(int)>& fn) {
-  ASPEN_CHECK(!dispatched_);
-  if (n <= 0) return;
-  if (threads_.empty() || n == 1) {
-    // Inline path: exceptions propagate to the caller naturally, but later
-    // indices do not run — matching the worker path's contract requires the
-    // same run-everything-then-throw shape.
-    std::exception_ptr err;
-    for (int i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-    return;
-  }
+void WorkerPool::Open(int n, const std::function<void(int)>& fn, bool wake) {
   {
     MutexLock lock(&mu_);
     job_ = &fn;
     job_size_ = n;
     next_index_.store(0, std::memory_order_relaxed);
-    inflight_workers_ = static_cast<int>(threads_.size());
-    ++generation_;
+    inflight_workers_ = wake ? num_workers() : 0;
+    if (wake) ++generation_;
   }
-  job_ready_.NotifyAll();
-  // The caller is a peer of the workers: it drains indices too, so the job
-  // finishes even if a worker is slow to wake.
+  if (wake) job_ready_.NotifyAll();
+}
+
+void WorkerPool::Drain(int n, const std::function<void(int)>& fn) {
   for (int i = next_index_.fetch_add(1); i < n; i = next_index_.fetch_add(1)) {
     try {
       fn(i);
@@ -130,6 +82,9 @@ void WorkerPool::Run(int n, const std::function<void(int)>& fn) {
       RecordError();
     }
   }
+}
+
+void WorkerPool::Close() {
   std::exception_ptr err;
   {
     MutexLock lock(&mu_);
@@ -139,48 +94,33 @@ void WorkerPool::Run(int n, const std::function<void(int)>& fn) {
     first_error_ = nullptr;
   }
   if (err) std::rethrow_exception(err);
+}
+
+void WorkerPool::Run(int n, const std::function<void(int)>& fn) {
+  ASPEN_CHECK(!dispatched_);
+  if (n <= 0) return;
+  // A one-index job runs inline: waking the workers would cost more than
+  // it. Otherwise the caller is a peer of the workers and drains indices
+  // too, so the job finishes even if a worker is slow to wake.
+  Open(n, fn, /*wake=*/!threads_.empty() && n > 1);
+  Drain(n, fn);
+  Close();
 }
 
 void WorkerPool::Dispatch(int n, const std::function<void(int)>& fn) {
   ASPEN_CHECK(!dispatched_);
   dispatched_ = true;
   if (n <= 0) return;
-  if (threads_.empty()) {
-    // Inline fallback: the whole job runs here (no overlap is possible),
-    // recording instead of throwing so the first error still surfaces at
-    // the Wait() boundary like the worker path.
-    for (int i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        RecordError();
-      }
-    }
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    job_ = &fn;
-    job_size_ = n;
-    next_index_.store(0, std::memory_order_relaxed);
-    inflight_workers_ = static_cast<int>(threads_.size());
-    ++generation_;
-  }
-  job_ready_.NotifyAll();
+  Open(n, fn, /*wake=*/!threads_.empty());
+  // With zero workers the whole job runs here (no overlap is possible);
+  // its first error still surfaces at the Wait() boundary.
+  if (threads_.empty()) Drain(n, fn);
 }
 
 void WorkerPool::Wait() {
   if (!dispatched_) return;
   dispatched_ = false;
-  std::exception_ptr err;
-  {
-    MutexLock lock(&mu_);
-    while (inflight_workers_ != 0) job_done_.Wait(&mu_);
-    job_ = nullptr;
-    err = first_error_;
-    first_error_ = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
+  Close();
 }
 
 }  // namespace common

@@ -1,7 +1,7 @@
-// Minimal index-space thread pool: run fn(0..n-1) on a bounded set of
-// workers. Used by core::RunAveraged, whose repetitions are embarrassingly
-// parallel — each owns its workload, network and RNG, and the only shared
-// object (the Topology) is immutable.
+// Index-space thread pool: run fn(0..n-1) on a bounded set of workers.
+// ParallelFor is a one-shot WorkerPool, used by core::RunAveraged, whose
+// repetitions are embarrassingly parallel — each owns its workload,
+// network and RNG, and the only shared object (the Topology) is immutable.
 
 #ifndef ASPEN_COMMON_PARALLEL_H_
 #define ASPEN_COMMON_PARALLEL_H_
@@ -22,10 +22,10 @@ namespace common {
 /// Hardware concurrency, at least 1.
 int DefaultThreadCount();
 
-/// \brief Invokes `fn(i)` for every i in [0, n), distributing indices over
-/// up to `num_threads` worker threads (0 = hardware concurrency). Blocks
-/// until every invocation returned. With one thread (or n == 1) the calls
-/// run inline on the caller's thread.
+/// \brief Invokes `fn(i)` for every i in [0, n) on a one-shot WorkerPool of
+/// up to `num_threads` threads, the caller included (0 = hardware
+/// concurrency). Blocks until every invocation returned. With one thread
+/// (or n == 1) the calls run inline on the caller's thread.
 ///
 /// `fn` must be safe to call concurrently from multiple threads. If any
 /// invocation throws, every index still runs; the first-recorded exception
@@ -34,12 +34,12 @@ void ParallelFor(int n, int num_threads, const std::function<void(int)>& fn);
 
 /// \brief Persistent fork-join pool for phase-structured work.
 ///
-/// Unlike ParallelFor, the worker threads are spawned once and parked on a
-/// condition variable between jobs, so a Run() costs two wakeup/park cycles
-/// instead of thread creation — cheap enough to call once per simulation
-/// phase (the sharded kernel runs several Run()s per transmission cycle).
-/// Run() holds the job by pointer and never copies the callable, so a
-/// steady-state Run() performs no heap allocation.
+/// The worker threads are spawned once and parked on a condition variable
+/// between jobs, so a Run() costs two wakeup/park cycles instead of thread
+/// creation — cheap enough to call once per simulation phase (the sharded
+/// kernel runs several Run()s per transmission cycle). Run() holds the job
+/// by pointer and never copies the callable, so a steady-state Run()
+/// performs no heap allocation.
 class WorkerPool {
  public:
   /// Spawns `num_workers` parked threads (0 is valid: every Run() then
@@ -51,9 +51,10 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Invokes `fn(i)` for every i in [0, n); the caller participates, so all
-  /// n indices complete even with zero workers. Blocks until done. Not
-  /// reentrant; only one Run() may be active at a time, and never while a
-  /// Dispatch() is outstanding.
+  /// n indices complete even with zero workers. With n == 1 the workers
+  /// stay parked and the caller runs the index inline. Blocks until done.
+  /// Not reentrant; only one Run() may be active at a time, and never while
+  /// a Dispatch() is outstanding.
   ///
   /// Exception contract: a throwing fn(i) does not abort the job — every
   /// index still runs (the sharded kernel's phase barriers assume full
@@ -83,6 +84,14 @@ class WorkerPool {
 
  private:
   void WorkerLoop();
+
+  /// Publishes the job over [0, n); wakes the workers only when `wake`.
+  void Open(int n, const std::function<void(int)>& fn, bool wake)
+      ASPEN_EXCLUDES(mu_);
+  /// Runs `fn` on claimed indices until none are left, recording throws.
+  void Drain(int n, const std::function<void(int)>& fn) ASPEN_EXCLUDES(mu_);
+  /// Waits for the woken workers, ends the job, rethrows its first error.
+  void Close() ASPEN_EXCLUDES(mu_);
 
   /// Records the currently in-flight exception as the job's outcome if it
   /// is the first; later exceptions from the same job are dropped.

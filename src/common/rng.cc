@@ -66,25 +66,12 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-double Rng::Exponential(double rate) {
-  double u = UniformDouble();
-  // Guard against log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / rate;
-}
-
 double Rng::Normal(double mean, double stddev) {
   double u1 = UniformDouble();
   double u2 = UniformDouble();
   if (u1 <= 0.0) u1 = 0x1.0p-53;
   double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
   return mean + stddev * z;
-}
-
-Rng Rng::Fork() {
-  // Mixing two outputs through SplitMix decorrelates the child stream.
-  uint64_t seed = Next64() ^ Rotl(Next64(), 23);
-  return Rng(seed);
 }
 
 }  // namespace aspen

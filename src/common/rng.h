@@ -39,17 +39,9 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Exponentially distributed double with the given rate (mean 1/rate).
-  double Exponential(double rate);
-
   /// Standard normal via Box–Muller (no cached spare; stateless per call
   /// apart from the generator stream).
   double Normal(double mean, double stddev);
-
-  /// Derives an independent child generator; streams of parent and child do
-  /// not overlap for practical purposes. Used to give each node its own
-  /// stream so per-node behaviour does not depend on iteration order.
-  Rng Fork();
 
  private:
   uint64_t s_[4];

@@ -10,29 +10,16 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "net/data_plane.h"
 
 namespace aspen {
 namespace core {
 
-namespace {
-
-/// RunExperiment on a one-query medium whose network borrows `plane` (a
-/// private arena when null). A borrowed plane is recycled: emptied here,
-/// its capacity reused by this run.
-Result<join::RunStats> RunOnPlane(const workload::Workload& workload,
-                                  const ExperimentOptions& options,
-                                  int sampling_cycles, net::DataPlane* plane) {
+Result<join::RunStats> RunExperiment(const workload::Workload& workload,
+                                     const ExperimentOptions& options,
+                                     int sampling_cycles) {
   join::MediumOptions medium_opts =
       join::SoloMediumOptions(workload, options.executor);
   ASPEN_RETURN_NOT_OK(join::ValidateOptions(options.executor, medium_opts));
-  if (plane != nullptr) {
-    // Recycling happens before this run's medium exists; nothing else
-    // references the plane concurrently.
-    common::SequentialPhaseScope seq;
-    plane->Reset();
-  }
-  medium_opts.data_plane = plane;
   join::SharedMedium medium(&workload.topology(),
                             join::NetworkOptionsFor(options.executor),
                             medium_opts);
@@ -48,14 +35,6 @@ Result<join::RunStats> RunOnPlane(const workload::Workload& workload,
   }
   ASPEN_RETURN_NOT_OK(medium.RunCycles(sampling_cycles));
   return exec->Stats();
-}
-
-}  // namespace
-
-Result<join::RunStats> RunExperiment(const workload::Workload& workload,
-                                     const ExperimentOptions& options,
-                                     int sampling_cycles) {
-  return RunOnPlane(workload, options, sampling_cycles, /*plane=*/nullptr);
 }
 
 Result<join::RunStats> RunExperiment(const workload::Workload& workload,
@@ -280,11 +259,7 @@ Result<AggregatedStats> RunAveraged(const WorkloadFactory& factory,
     }
     ExperimentOptions opts = options;
     opts.executor.seed = seed0 + r;
-    // One data-plane arena per worker thread, reused across the
-    // repetitions that thread claims: slab and route-table capacity warmed
-    // up by one repetition stays hot for the next.
-    thread_local net::DataPlane worker_plane;
-    outcomes[r] = RunOnPlane(*wl, opts, sampling_cycles, &worker_plane);
+    outcomes[r] = RunExperiment(*wl, opts, sampling_cycles);
     if (!outcomes[r].ok()) failed.store(true, std::memory_order_relaxed);
   });
   AggregatedStats agg;

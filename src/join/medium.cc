@@ -53,7 +53,7 @@ SharedMedium::SharedMedium(const net::Topology* topology,
                            net::NetworkOptions options,
                            MediumOptions medium_options)
     : topology_(topology),
-      net_(topology, options, medium_options.data_plane),
+      net_(topology, options),
       primary_(routing::RoutingTree::Build(*topology, 0)),
       medium_opts_(medium_options),
       sched_(&net_, medium_options.knobs.sample_interval,
@@ -247,11 +247,10 @@ Result<std::shared_ptr<const routing::MultiTree>> SharedMedium::InnetSubstrate(
   // summary shipping are deployment-time traffic, charged to nobody.
   routing::MultiTreeOptions mt_opts;
   mt_opts.num_trees = options.num_trees;
-  auto built = std::make_shared<routing::MultiTree>(topology_, mt_opts,
-                                                    nullptr);
+  auto built = std::make_shared<routing::MultiTree>(topology_, mt_opts);
   const query::PrimaryJoin& primary = *workload.analysis().primary;
   if (primary.region_radius_dm.has_value()) {
-    built->IndexPositions(nullptr);
+    built->IndexPositions();
   } else {
     routing::IndexedAttribute attr;
     attr.name = "primary_join_key";
@@ -263,7 +262,7 @@ Result<std::shared_ptr<const routing::MultiTree>> SharedMedium::InnetSubstrate(
       return target->Eval(&t, nullptr);
     };
     ASPEN_ASSIGN_OR_RETURN(const int attr_idx,
-                           built->IndexAttribute(attr, nullptr));
+                           built->IndexAttribute(attr));
     ASPEN_CHECK_EQ(attr_idx, kJoinKeyAttr);
   }
   substrates_.push_back(

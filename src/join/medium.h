@@ -71,11 +71,6 @@ struct MediumOptions {
   /// arrivals (scenario drivers still tick); the batch default keeps the
   /// historical no-queries error.
   bool allow_idle = false;
-  /// Optional borrowed data-plane arena (route table + payload pools) for
-  /// the medium's network. Not owned; must outlive the medium. When null
-  /// the network owns a private plane. core::RunAveraged lends each worker
-  /// thread's plane to its repetitions so warmed-up capacity is reused.
-  net::DataPlane* data_plane = nullptr;
 };
 
 /// \brief Rejects knob values no run can execute, as InvalidArgument: a

@@ -1,19 +1,12 @@
 // The shared data-plane arena: one RouteTable plus one PayloadArena.
 //
 // Everything the steady-state cycle references by id — interned routes,
-// pooled payload slabs — lives here. A Network either owns a private
-// DataPlane (the default) or borrows one from its creator:
-// core::RunExperiment owns the plane for a run, and RunAveraged reuses one
-// plane per worker thread across repetitions so slab and table capacity
-// warmed up by repetition k is still hot for repetition k+1.
-//
-// Reset() empties both members while keeping their backing storage; it must
-// only be called when no network or executor is using the plane.
+// pooled payload slabs — lives here. Each Network owns one DataPlane for
+// its whole lifetime.
 
 #ifndef ASPEN_NET_DATA_PLANE_H_
 #define ASPEN_NET_DATA_PLANE_H_
 
-#include "common/phase.h"
 #include "net/payload_pool.h"
 #include "net/route_table.h"
 
@@ -28,12 +21,6 @@ class DataPlane {
   const RouteTable& routes() const { return routes_; }
   PayloadArena& payloads() { return payloads_; }
   const PayloadArena& payloads() const { return payloads_; }
-
-  /// Clears routes and frees all payloads, keeping capacity.
-  void Reset() ASPEN_REQUIRES_SEQUENTIAL {
-    routes_.Reset();
-    payloads_.Reset();
-  }
 
  private:
   RouteTable routes_;

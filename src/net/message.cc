@@ -3,42 +3,6 @@
 namespace aspen {
 namespace net {
 
-const char* MessageKindName(MessageKind kind) {
-  switch (kind) {
-    case MessageKind::kBeacon:
-      return "beacon";
-    case MessageKind::kQueryDissem:
-      return "query_dissem";
-    case MessageKind::kExploration:
-      return "exploration";
-    case MessageKind::kExplorationReply:
-      return "exploration_reply";
-    case MessageKind::kNomination:
-      return "nomination";
-    case MessageKind::kData:
-      return "data";
-    case MessageKind::kJoinResult:
-      return "join_result";
-    case MessageKind::kCostReport:
-      return "cost_report";
-    case MessageKind::kGroupDecision:
-      return "group_decision";
-    case MessageKind::kMulticastUpdate:
-      return "multicast_update";
-    case MessageKind::kCollapseHint:
-      return "collapse_hint";
-    case MessageKind::kWindowTransfer:
-      return "window_transfer";
-    case MessageKind::kRepair:
-      return "repair";
-    case MessageKind::kControl:
-      return "control";
-    case MessageKind::kNumKinds:
-      break;
-  }
-  return "unknown";
-}
-
 bool IsInitiationKind(MessageKind kind) {
   switch (kind) {
     case MessageKind::kBeacon:

@@ -57,8 +57,6 @@ enum class MessageKind : uint8_t {
   kNumKinds,
 };
 
-const char* MessageKindName(MessageKind kind);
-
 /// True for the kinds the paper counts as initiation (setup) traffic rather
 /// than per-cycle computation traffic.
 bool IsInitiationKind(MessageKind kind);
@@ -67,8 +65,7 @@ bool IsInitiationKind(MessageKind kind);
 enum class RoutingMode : uint8_t {
   kSourcePath,   ///< follow the interned `route` path
   kTreeToRoot,   ///< forward to the primary-tree parent until the root
-  kGeoGreedy,    ///< forward to the neighbor nearest `geo_target`
-  kLocalHop,     ///< `route` holds exactly [origin, neighbor]
+  kGeoGreedy,    ///< GPSR toward `dest`'s position (net/geo_routing.h)
 };
 
 /// \brief A routed message: a POD envelope. Envelope fields are owned by
@@ -78,10 +75,8 @@ struct Message {
   RoutingMode mode = RoutingMode::kSourcePath;
   NodeId origin = -1;
   NodeId dest = -1;
-  /// Interned route for kSourcePath/kLocalHop: origin first, dest last.
+  /// Interned route for kSourcePath: origin first, dest last.
   RouteId route = kInvalidRoute;
-  /// Geographic target for kGeoGreedy.
-  Point geo_target;
   /// Payload size excluding per-hop link header.
   int size_bytes = 0;
   /// Unique id assigned by the network on submission.

@@ -18,18 +18,11 @@ uint64_t NodeStreamSeed(uint64_t run_seed, NodeId id) {
 
 }  // namespace
 
-Network::Network(const Topology* topology, NetworkOptions options,
-                 DataPlane* plane)
+Network::Network(const Topology* topology, NetworkOptions options)
     : topology_(topology),
       options_(options),
       stats_(topology->num_nodes()),
       failed_(topology->num_nodes(), false) {
-  if (plane == nullptr) {
-    owned_plane_ = std::make_unique<DataPlane>();
-    plane_ = owned_plane_.get();
-  } else {
-    plane_ = plane;
-  }
   node_rng_.reserve(topology->num_nodes());
   for (NodeId id = 0; id < topology->num_nodes(); ++id) {
     node_rng_.emplace_back(NodeStreamSeed(options_.seed, id));
@@ -166,9 +159,8 @@ NodeId Network::ResolveNextHop(Frame* frame) const {
   const Message& msg = frame->msg;
   if (frame->at == msg.dest) return -2;
   switch (msg.mode) {
-    case RoutingMode::kSourcePath:
-    case RoutingMode::kLocalHop: {
-      const RouteTable& rt = plane_->routes();
+    case RoutingMode::kSourcePath: {
+      const RouteTable& rt = plane_.routes();
       if (!rt.IsValidPath(msg.route)) return -1;
       if (frame->path_idx + 1 >= rt.PathLength(msg.route)) return -1;
       return rt.PathNode(msg.route, frame->path_idx + 1);
@@ -192,32 +184,31 @@ NodeId Network::ResolveNextHop(Frame* frame) const {
 Result<uint64_t> Network::Submit(Message msg) {
   if (msg.origin < 0 || msg.origin >= topology_->num_nodes() ||
       msg.dest < 0 || msg.dest >= topology_->num_nodes()) {
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return Status::InvalidArgument("Submit: origin/dest out of range");
   }
   if (failed_[msg.origin]) {
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return Status::FailedPrecondition("Submit: origin node has failed");
   }
   msg.id = next_id_++;
   if (msg.origin == msg.dest) {
     DeliverLocal(msg, msg.dest);
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return msg.id;
   }
-  if (msg.mode == RoutingMode::kSourcePath ||
-      msg.mode == RoutingMode::kLocalHop) {
-    const RouteTable& rt = plane_->routes();
+  if (msg.mode == RoutingMode::kSourcePath) {
+    const RouteTable& rt = plane_.routes();
     if (!rt.IsValidPath(msg.route) || rt.PathLength(msg.route) < 2 ||
         rt.PathFront(msg.route) != msg.origin ||
         rt.PathBack(msg.route) != msg.dest) {
-      plane_->payloads().Release(msg.payload);
+      plane_.payloads().Release(msg.payload);
       return Status::InvalidArgument(
           "Submit: route must run from origin to dest");
     }
   }
   if (msg.mode == RoutingMode::kTreeToRoot && parent_resolver_ == nullptr) {
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return Status::FailedPrecondition("Submit: no parent resolver installed");
   }
   Shard& sh = shards_[ShardOf(msg.origin)];
@@ -227,11 +218,10 @@ Result<uint64_t> Network::Submit(Message msg) {
   frame.msg = msg;
   frame.at = msg.origin;
   frame.path_idx = 0;
-  frame.submit_time = now_;
   NodeId next = ResolveNextHop(&frame);
   if (next < 0) {
     FreeFrame(&sh, idx);
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return Status::Unreachable("Submit: no route from origin");
   }
   frame.next = next;
@@ -241,32 +231,32 @@ Result<uint64_t> Network::Submit(Message msg) {
 
 Result<uint64_t> Network::SubmitMulticast(Message msg, McastId route) {
   if (msg.origin < 0 || msg.origin >= topology_->num_nodes()) {
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return Status::InvalidArgument("SubmitMulticast: origin out of range");
   }
   if (failed_[msg.origin]) {
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return Status::FailedPrecondition("SubmitMulticast: origin has failed");
   }
-  if (!plane_->routes().IsValidMulticast(route)) {
-    plane_->payloads().Release(msg.payload);
+  if (!plane_.routes().IsValidMulticast(route)) {
+    plane_.payloads().Release(msg.payload);
     return Status::InvalidArgument("SubmitMulticast: unknown route");
   }
   msg.id = next_id_++;
   const uint64_t id = msg.id;
   // Children span: raw pointers into the route's edge storage, which stays
   // put even if a delivery handler interns new routes below.
-  const MulticastRoute& r = plane_->routes().Multicast(route);
+  const MulticastRoute& r = plane_.routes().Multicast(route);
   const bool origin_is_target = r.IsTarget(msg.origin);
   auto [child, child_end] = r.ChildrenOf(msg.origin);
   if (origin_is_target) DeliverLocal(msg, msg.origin);
   const int fanout = static_cast<int>(child_end - child);
   if (fanout == 0) {
-    plane_->payloads().Release(msg.payload);
+    plane_.payloads().Release(msg.payload);
     return id;
   }
   // The message's one payload reference becomes `fanout` frame references.
-  for (int i = 1; i < fanout; ++i) plane_->payloads().AddRef(msg.payload);
+  for (int i = 1; i < fanout; ++i) plane_.payloads().AddRef(msg.payload);
   Shard& sh = shards_[ShardOf(msg.origin)];
   for (; child != child_end; ++child) {
     const int32_t idx = AllocFrame(&sh);
@@ -277,7 +267,6 @@ Result<uint64_t> Network::SubmitMulticast(Message msg, McastId route) {
     frame.mcast = route;
     frame.at = msg.origin;
     frame.next = child->second;
-    frame.submit_time = now_;
     sh.pending.push_back(idx);
   }
   return id;
@@ -289,7 +278,7 @@ void Network::DeliverLocal(const Message& msg, NodeId at) {
 
 void Network::DropAndRelease(const Message& msg, NodeId at, NodeId next) {
   if (on_drop_) on_drop_(msg, at, next);
-  plane_->payloads().Release(msg.payload);
+  plane_.payloads().Release(msg.payload);
 }
 
 Network::SortKey Network::KeyFor(const Frame& f) const {
@@ -385,8 +374,8 @@ struct Network::InlineSink {
       ASPEN_REQUIRES_SEQUENTIAL {
     net->DropAndRelease(m, at, next);
   }
-  void Release(PayloadHandle h) { net->plane_->payloads().Release(h); }
-  void AddRef(PayloadHandle h) { net->plane_->payloads().AddRef(h); }
+  void Release(PayloadHandle h) { net->plane_.payloads().Release(h); }
+  void AddRef(PayloadHandle h) { net->plane_.payloads().AddRef(h); }
 };
 
 template <typename Sink>
@@ -402,7 +391,7 @@ void Network::ArriveSlot(Shard* sh, int32_t idx, Sink sink) {
     // the route's edge storage, which stays put even if a delivery
     // handler interns new routes.
     const Frame base = f;
-    const MulticastRoute& route = plane_->routes().Multicast(base.mcast);
+    const MulticastRoute& route = plane_.routes().Multicast(base.mcast);
     const bool is_target = route.IsTarget(base.at);
     auto [child, child_end] = route.ChildrenOf(base.at);
     if (is_target) sink.Deliver(base.msg, base.at);
@@ -435,12 +424,11 @@ void Network::ArriveSlot(Shard* sh, int32_t idx, Sink sink) {
     sink.Release(m.payload);
     return;
   }
-  if (f.msg.mode == RoutingMode::kSourcePath ||
-      f.msg.mode == RoutingMode::kLocalHop) {
+  if (f.msg.mode == RoutingMode::kSourcePath) {
     ++f.path_idx;
     // Guard against corrupted routes where the arrival node disagrees with
     // the interned path.
-    const RouteTable& rt = plane_->routes();
+    const RouteTable& rt = plane_.routes();
     if (f.path_idx >= rt.PathLength(f.msg.route) ||
         rt.PathNode(f.msg.route, f.path_idx) != f.at) {
       const Message m = f.msg;
@@ -647,10 +635,10 @@ void Network::ExchangePhase() {
         }
         break;
       case Effect::Kind::kAddRef:
-        plane_->payloads().AddRef(e->payload);
+        plane_.payloads().AddRef(e->payload);
         break;
       case Effect::Kind::kRelease:
-        plane_->payloads().Release(e->payload);
+        plane_.payloads().Release(e->payload);
         break;
       case Effect::Kind::kArrive:
         stats_.RecordReceive(e->frame.next, e->bytes);

@@ -58,7 +58,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -114,11 +113,8 @@ class Network {
   using SnoopHandler = std::function<void(const Message&, NodeId snooper,
                                           NodeId from, NodeId to)>;
 
-  /// `topology` must outlive the network. `plane` (route table + payload
-  /// pools) is borrowed when given and must outlive the network; when null
-  /// the network owns a private plane.
-  Network(const Topology* topology, NetworkOptions options,
-          DataPlane* plane = nullptr);
+  /// `topology` must outlive the network.
+  Network(const Topology* topology, NetworkOptions options);
 
   void set_delivery_handler(DeliveryHandler h) { on_deliver_ = std::move(h); }
   void set_drop_handler(DropHandler h) { on_drop_ = std::move(h); }
@@ -128,10 +124,9 @@ class Network {
     parent_resolver_ = resolver;
   }
 
-  DataPlane& plane() { return *plane_; }
-  RouteTable& routes() { return plane_->routes(); }
-  const RouteTable& routes() const { return plane_->routes(); }
-  PayloadArena& payloads() { return plane_->payloads(); }
+  RouteTable& routes() { return plane_.routes(); }
+  const RouteTable& routes() const { return plane_.routes(); }
+  PayloadArena& payloads() { return plane_.payloads(); }
 
   /// \brief Injects a message at its origin. Returns the assigned id.
   ///
@@ -234,7 +229,6 @@ class Network {
     NodeId next = -1;
     int attempts = 0;
     int32_t path_idx = 0;  // index of `at` within the route (kSourcePath)
-    int64_t submit_time = 0;
     /// GPSR greedy/perimeter routing state (kGeoGreedy frames).
     GeoRouteState geo;
   };
@@ -366,8 +360,7 @@ class Network {
   std::vector<Rng> node_rng_;
   TrafficStats stats_;
   const ParentResolver* parent_resolver_ = nullptr;
-  std::unique_ptr<DataPlane> owned_plane_;  // null when plane is borrowed
-  DataPlane* plane_;
+  DataPlane plane_;
 
   DeliveryHandler on_deliver_;
   DropHandler on_drop_;

@@ -55,9 +55,6 @@ class PayloadPoolBase {
   /// Drops one reference; frees the slot at zero. False if stale (a
   /// double-free attempt leaves the pool untouched).
   virtual bool Release(PayloadHandle h) = 0;
-  /// Frees every live slot (leaked references included) but keeps slab
-  /// capacity, so a new run reuses the memory.
-  virtual void Clear() = 0;
   virtual size_t live() const = 0;
   virtual size_t capacity() const = 0;
 };
@@ -142,17 +139,6 @@ class TypedPool : public PayloadPoolBase {
     }
   }
 
-  void Clear() override {
-    free_.clear();
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      if (s.refs > 0) ++s.gen;
-      s.refs = 0;
-      free_.push_back(static_cast<int32_t>(i));
-    }
-    live_ = 0;
-  }
-
   size_t live() const override { return live_; }
   size_t capacity() const override { return slots_.size(); }
   uint32_t tag() const { return tag_; }
@@ -200,13 +186,6 @@ class PayloadArena {
     if (!h.valid()) return;
     PayloadPoolBase* p = PoolFor(h);
     if (p != nullptr) p->Release(h);
-  }
-
-  /// Frees all live payloads in every pool; keeps slab capacity.
-  void Reset() {
-    for (Entry& e : pools_) {
-      if (e.pool != nullptr) e.pool->Clear();
-    }
   }
 
   size_t live() const {

@@ -241,22 +241,5 @@ size_t RouteTable::SweepRetired() {
   return freed;
 }
 
-void RouteTable::Reset() {
-  nodes_.clear();
-  spans_.clear();
-  mcasts_.clear();
-  mcast_meta_.clear();
-  path_dedup_.clear();
-  mcast_dedup_.clear();
-  dest_dedup_.clear();
-  free_path_ids_.clear();
-  free_blocks_.clear();
-  free_mcast_ids_.clear();
-  retired_paths_.clear();
-  retired_mcasts_.clear();
-  live_paths_ = 0;
-  live_mcasts_ = 0;
-}
-
 }  // namespace net
 }  // namespace aspen

@@ -150,9 +150,6 @@ class RouteTable {
   size_t num_paths() const { return spans_.size(); }
   size_t num_multicasts() const { return mcasts_.size(); }
 
-  /// Drops every route but keeps the backing capacity for the next run.
-  void Reset() ASPEN_REQUIRES_SEQUENTIAL;
-
  private:
   struct Span {
     uint32_t off = 0;

@@ -33,8 +33,9 @@ std::vector<JoinGroup> DiscoverGroups(
     const std::vector<std::pair<net::NodeId, net::NodeId>>& pairs);
 
 /// \brief True iff the component's edge set is the full cross product of
-/// its member lists — the paper's complete-bipartite assumption. Diagnostic
-/// used by tests and by the executor to fall back to pairwise decisions for
+/// its member lists — the paper's complete-bipartite assumption. A test
+/// diagnostic only: the executor applies one group decision to every
+/// component's own pairs, complete or not, with no pairwise fallback for
 /// non-transitive predicates.
 bool IsCompleteBipartite(const JoinGroup& group);
 

@@ -159,12 +159,6 @@ bool QueryAnalysis::SEligible(const Tuple& st) const {
 bool QueryAnalysis::TEligible(const Tuple& st) const {
   return EvalAll(t_static_selection, nullptr, &st);
 }
-bool QueryAnalysis::SDynamicPass(const Tuple& tup) const {
-  return EvalAll(s_dynamic_selection, &tup, nullptr);
-}
-bool QueryAnalysis::TDynamicPass(const Tuple& tup) const {
-  return EvalAll(t_dynamic_selection, nullptr, &tup);
-}
 bool QueryAnalysis::SecondaryStaticPass(const Tuple& s, const Tuple& t) const {
   return EvalAll(secondary_static_join, &s, &t);
 }

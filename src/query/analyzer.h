@@ -84,10 +84,6 @@ struct QueryAnalysis {
   bool SEligible(const Tuple& static_tuple) const;
   bool TEligible(const Tuple& static_tuple) const;
 
-  /// Conjunction of the dynamic selections for one side over a full tuple.
-  bool SDynamicPass(const Tuple& tuple) const;
-  bool TDynamicPass(const Tuple& tuple) const;
-
   /// Secondary static join clauses over an (s, t) static-tuple pair.
   bool SecondaryStaticPass(const Tuple& s, const Tuple& t) const;
 

@@ -165,8 +165,7 @@ constexpr int kExploreBaseBytes = 6;
 constexpr int kReplyBaseBytes = 4;
 }  // namespace
 
-MultiTree::MultiTree(const net::Topology* topology, MultiTreeOptions options,
-                     net::TrafficStats* stats)
+MultiTree::MultiTree(const net::Topology* topology, MultiTreeOptions options)
     : topology_(topology), options_(options) {
   ASPEN_CHECK(options_.num_trees >= 1);
   const int n = topology_->num_nodes();
@@ -189,13 +188,11 @@ MultiTree::MultiTree(const net::Topology* topology, MultiTreeOptions options,
   }
   for (NodeId root : roots_) {
     trees_.push_back(
-        std::make_unique<RoutingTree>(RoutingTree::Build(*topology_, root, stats)));
-    construction_bytes_ += RoutingTree::ConstructionBytes(n);
+        std::make_unique<RoutingTree>(RoutingTree::Build(*topology_, root)));
   }
 }
 
-Result<int> MultiTree::IndexAttribute(const IndexedAttribute& attr,
-                                      net::TrafficStats* stats) {
+Result<int> MultiTree::IndexAttribute(const IndexedAttribute& attr) {
   if (!attr.value_fn) {
     return Status::InvalidArgument("IndexAttribute: missing value_fn");
   }
@@ -205,17 +202,9 @@ Result<int> MultiTree::IndexAttribute(const IndexedAttribute& attr,
   index.values.resize(n);
   for (NodeId u = 0; u < n; ++u) index.values[u] = attr.value_fn(u);
   if (attr.summary_type == SummaryType::kExact) {
-    // No per-node sets: each node still ships (and is charged for) its
-    // subtree's exact summary, whose size only needs the distinct count.
-    std::vector<int32_t> distinct;
     for (const auto& tree : trees_) {
-      index.exact.push_back(BuildExactTreeIndex(*tree, index.values,
-                                                &index.sorted_values,
-                                                &distinct));
-      for (NodeId u = 0; u < n; ++u) {
-        if (tree->ParentOf(u) == -1) continue;
-        ChargeSummaryShip(u, distinct[u] * ExactSummary::kValueBytes, stats);
-      }
+      index.exact.push_back(
+          BuildExactTreeIndex(*tree, index.values, &index.sorted_values));
     }
     scalar_indexes_.push_back(std::move(index));
     return static_cast<int>(scalar_indexes_.size()) - 1;
@@ -244,11 +233,6 @@ Result<int> MultiTree::IndexAttribute(const IndexedAttribute& attr,
         own->Merge(*subtree[c]);
       }
       subtree[u] = std::move(own);
-      // Each non-root node ships its merged subtree summary to its parent
-      // during construction.
-      if (tree.ParentOf(u) != -1) {
-        ChargeSummaryShip(u, subtree[u]->SizeBytes(), stats);
-      }
     }
   }
   scalar_indexes_.push_back(std::move(index));
@@ -257,7 +241,7 @@ Result<int> MultiTree::IndexAttribute(const IndexedAttribute& attr,
 
 MultiTree::ExactTreeIndex MultiTree::BuildExactTreeIndex(
     const RoutingTree& tree, const std::vector<int32_t>& values,
-    std::vector<int32_t>* sorted_values, std::vector<int32_t>* distinct) {
+    std::vector<int32_t>* sorted_values) {
   const int n = static_cast<int>(values.size());
   ExactTreeIndex index;
   index.tin.resize(n);
@@ -288,38 +272,9 @@ MultiTree::ExactTreeIndex MultiTree::BuildExactTreeIndex(
   std::sort(keyed.begin(), keyed.end());
   sorted_values->resize(n);
   index.tins_by_value.resize(n);
-  std::vector<int32_t> prev(n, -1);  // previous position holding the value
   for (int i = 0; i < n; ++i) {
     (*sorted_values)[i] = keyed[i].first;
     index.tins_by_value[i] = keyed[i].second;
-    if (i > 0 && keyed[i].first == keyed[i - 1].first) {
-      prev[keyed[i].second] = keyed[i - 1].second;
-    }
-  }
-
-  // Distinct values per subtree, offline: walking the tour, keep a mark on
-  // the latest position of every value seen so far (a Fenwick tree over
-  // positions). When the walk reaches the end of a subtree's range, the
-  // marks inside the range count its distinct values.
-  std::vector<int32_t> fenwick(n + 1, 0);
-  auto add = [&](int pos, int32_t delta) {
-    for (int i = pos + 1; i <= n; i += i & -i) fenwick[i] += delta;
-  };
-  auto prefix = [&](int end) {  // marks in positions [0, end)
-    int32_t sum = 0;
-    for (int i = end; i > 0; i -= i & -i) sum += fenwick[i];
-    return sum;
-  };
-  distinct->resize(n);
-  for (int i = 0; i < n; ++i) {
-    if (prev[i] >= 0) add(prev[i], -1);
-    add(i, 1);
-    // The ranges ending here: order[i] if it is a leaf, then each ancestor
-    // whose last descendant it is.
-    for (NodeId u = order[i]; u != -1 && index.tout[u] == i + 1;
-         u = tree.ParentOf(u)) {
-      (*distinct)[u] = prefix(i + 1) - prefix(index.tin[u]);
-    }
   }
   return index;
 }
@@ -353,16 +308,7 @@ bool MultiTree::ChildMayContain(int attr_idx, int tree, NodeId node,
                            trees_[tree]->ChildrenOf(node)[child_idx]);
 }
 
-void MultiTree::ChargeSummaryShip(NodeId u, int summary_bytes,
-                                  net::TrafficStats* stats) {
-  const int bytes = summary_bytes + net::WireFormat::kLinkHeaderBytes;
-  if (stats != nullptr) {
-    stats->RecordSend(u, net::MessageKind::kBeacon, bytes);
-  }
-  construction_bytes_ += bytes;
-}
-
-void MultiTree::IndexPositions(net::TrafficStats* stats) {
+void MultiTree::IndexPositions() {
   const int n = topology_->num_nodes();
   position_index_.built = true;
   position_index_.per_tree.assign(trees_.size(), {});
@@ -384,7 +330,6 @@ void MultiTree::IndexPositions(net::TrafficStats* stats) {
         own.Merge(subtree[c]);
       }
       subtree[u] = own;
-      if (tree.ParentOf(u) != -1) ChargeSummaryShip(u, own.SizeBytes(), stats);
     }
   }
 }

@@ -84,10 +84,8 @@ struct MultiTreeOptions {
 /// \brief The multi-tree routing substrate.
 class MultiTree {
  public:
-  /// Builds `options.num_trees` trees over `topology`. If `stats` is
-  /// non-null, beacon traffic for each tree's construction is charged.
-  MultiTree(const net::Topology* topology, MultiTreeOptions options,
-            net::TrafficStats* stats = nullptr);
+  /// Builds `options.num_trees` trees over `topology`.
+  MultiTree(const net::Topology* topology, MultiTreeOptions options);
 
   int num_trees() const { return static_cast<int>(trees_.size()); }
   const RoutingTree& tree(int i) const { return *trees_[i]; }
@@ -96,16 +94,13 @@ class MultiTree {
   const net::Topology& topology() const { return *topology_; }
 
   /// \brief Indexes a scalar static attribute in every tree's routing
-  /// tables. Charges summary-aggregation traffic (each node ships its merged
-  /// subtree summary to its parent, per tree) when `stats` is non-null.
-  /// Returns the attribute index used in searches.
+  /// tables. Returns the attribute index used in searches.
   ///
   /// `SummaryType::kExact` tables are not materialized per node: each tree
   /// keeps one O(n) subtree-interval index that answers every per-child
   /// membership question exactly as an ExactSummary of that child's subtree
-  /// would, and charges the same aggregation bytes.
-  Result<int> IndexAttribute(const IndexedAttribute& attr,
-                             net::TrafficStats* stats = nullptr);
+  /// would.
+  Result<int> IndexAttribute(const IndexedAttribute& attr);
 
   /// \brief The pruning decision exploration makes before descending from
   /// `node` into its `child_idx`-th child in tree `tree`: whether that
@@ -115,7 +110,7 @@ class MultiTree {
 
   /// \brief Indexes node positions with per-subtree R-trees (for
   /// region-based predicates such as Query 3's Dst < 5m).
-  void IndexPositions(net::TrafficStats* stats = nullptr);
+  void IndexPositions();
 
   /// \brief Finds nodes whose indexed attribute `attr_idx` equals `value`
   /// and that satisfy `accept` (secondary static predicates; may be null).
@@ -141,9 +136,6 @@ class MultiTree {
 
   /// Roots chosen for each tree (index 0 is the base station).
   const std::vector<NodeId>& roots() const { return roots_; }
-
-  /// Total bytes charged for tree construction + summary aggregation so far.
-  int64_t construction_bytes() const { return construction_bytes_; }
 
  private:
   /// Exact subtree membership for one tree. In a pre-order tour every
@@ -180,17 +172,10 @@ class MultiTree {
   /// Whether `child`'s subtree holds a tour position of `slice`.
   static bool ExactSubtreeHolds(const ExactTreeIndex& tree_index,
                                 std::pair<size_t, size_t> slice, NodeId child);
-  /// Builds `tree`'s exact index over `values`, fills `sorted_values`, and
-  /// writes each node's count of distinct values in its subtree (the size
-  /// of the exact summary it ships to its parent) to `distinct`.
+  /// Builds `tree`'s exact index over `values` and fills `sorted_values`.
   static ExactTreeIndex BuildExactTreeIndex(const RoutingTree& tree,
                                             const std::vector<int32_t>& values,
-                                            std::vector<int32_t>* sorted_values,
-                                            std::vector<int32_t>* distinct);
-
-  /// Charges node `u` shipping a `summary_bytes` subtree summary to its
-  /// parent during index construction.
-  void ChargeSummaryShip(NodeId u, int summary_bytes, net::TrafficStats* stats);
+                                            std::vector<int32_t>* sorted_values);
 
   struct PositionIndex {
     bool built = false;
@@ -217,7 +202,6 @@ class MultiTree {
   std::vector<NodeId> roots_;
   std::vector<ScalarIndex> scalar_indexes_;
   PositionIndex position_index_;
-  int64_t construction_bytes_ = 0;
 };
 
 }  // namespace routing

@@ -4,18 +4,11 @@
 #include <queue>
 
 #include "common/logging.h"
-#include "net/message.h"
 
 namespace aspen {
 namespace routing {
 
-namespace {
-// A beacon carries the root id, sender depth and a sequence number.
-constexpr int kBeaconPayloadBytes = 6;
-}  // namespace
-
-RoutingTree RoutingTree::Build(const net::Topology& topology, NodeId root,
-                               net::TrafficStats* stats) {
+RoutingTree RoutingTree::Build(const net::Topology& topology, NodeId root) {
   const int n = topology.num_nodes();
   ASPEN_CHECK(root >= 0 && root < n);
   RoutingTree tree;
@@ -44,19 +37,7 @@ RoutingTree RoutingTree::Build(const net::Topology& topology, NodeId root,
   for (int i = 0; i < n; ++i) {
     ASPEN_CHECK(tree.depth_[i] >= 0);  // generators guarantee connectivity
   }
-  if (stats != nullptr) {
-    // Every node broadcasts one beacon during construction.
-    for (NodeId u = 0; u < n; ++u) {
-      stats->RecordSend(u, net::MessageKind::kBeacon,
-                        kBeaconPayloadBytes + net::WireFormat::kLinkHeaderBytes);
-    }
-  }
   return tree;
-}
-
-int64_t RoutingTree::ConstructionBytes(int num_nodes) {
-  return static_cast<int64_t>(num_nodes) *
-         (kBeaconPayloadBytes + net::WireFormat::kLinkHeaderBytes);
 }
 
 std::vector<NodeId> RoutingTree::PathToRoot(NodeId id) const {
@@ -86,18 +67,6 @@ std::vector<NodeId> RoutingTree::TreePath(NodeId a, NodeId b) const {
   std::vector<NodeId> path(up_a.begin(), up_a.begin() + ia + 1);
   for (size_t k = ib; k-- > 0;) path.push_back(up_b[k]);
   return path;
-}
-
-std::vector<NodeId> RoutingTree::Subtree(NodeId id) const {
-  std::vector<NodeId> out;
-  std::vector<NodeId> stack{id};
-  while (!stack.empty()) {
-    NodeId u = stack.back();
-    stack.pop_back();
-    out.push_back(u);
-    for (NodeId c : children_[u]) stack.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace routing

@@ -20,10 +20,8 @@ using net::NodeId;
 /// \brief A rooted spanning tree over the connectivity graph.
 class RoutingTree : public net::ParentResolver {
  public:
-  /// Builds a BFS tree rooted at `root`. If `stats` is non-null, charges the
-  /// construction traffic (one beacon broadcast per node) to it.
-  static RoutingTree Build(const net::Topology& topology, NodeId root,
-                           net::TrafficStats* stats = nullptr);
+  /// Builds a BFS tree rooted at `root`.
+  static RoutingTree Build(const net::Topology& topology, NodeId root);
 
   NodeId root() const { return root_; }
   int num_nodes() const { return static_cast<int>(parent_.size()); }
@@ -47,12 +45,6 @@ class RoutingTree : public net::ParentResolver {
   /// Tree path [a, ..., lca, ..., b] through the lowest common ancestor —
   /// the only route between two nodes when a single tree is the substrate.
   std::vector<NodeId> TreePath(NodeId a, NodeId b) const;
-
-  /// Nodes in the subtree rooted at `id` (including `id`).
-  std::vector<NodeId> Subtree(NodeId id) const;
-
-  /// Per-construction wire cost in bytes (what Build charges to stats).
-  static int64_t ConstructionBytes(int num_nodes);
 
  private:
   RoutingTree() = default;

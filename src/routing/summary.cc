@@ -49,16 +49,6 @@ bool BloomSummary::MayContain(int32_t value) const {
   return true;
 }
 
-bool BloomSummary::MayContainRange(int32_t lo, int32_t hi) const {
-  // Probing every value is only sensible for small ranges; beyond that the
-  // filter cannot prune and must answer conservatively.
-  if (static_cast<int64_t>(hi) - lo > 256) return true;
-  for (int64_t v = lo; v <= hi; ++v) {
-    if (MayContain(static_cast<int32_t>(v))) return true;
-  }
-  return false;
-}
-
 void BloomSummary::Merge(const ScalarSummary& other) {
   ASPEN_CHECK(other.type() == SummaryType::kBloom);
   const auto& o = static_cast<const BloomSummary&>(other);
@@ -67,12 +57,6 @@ void BloomSummary::Merge(const ScalarSummary& other) {
 
 std::unique_ptr<ScalarSummary> BloomSummary::Clone() const {
   return std::make_unique<BloomSummary>(*this);
-}
-
-double BloomSummary::FillRatio() const {
-  int set = 0;
-  for (uint64_t word : bits_) set += __builtin_popcountll(word);
-  return static_cast<double>(set) / kBits;
 }
 
 // ------------------------------------------------------------- Interval --
@@ -84,10 +68,6 @@ void IntervalSummary::Insert(int32_t value) {
 
 bool IntervalSummary::MayContain(int32_t value) const {
   return value >= lo_ && value <= hi_;
-}
-
-bool IntervalSummary::MayContainRange(int32_t lo, int32_t hi) const {
-  return !(hi < lo_ || lo > hi_);
 }
 
 void IntervalSummary::Merge(const ScalarSummary& other) {
@@ -111,11 +91,6 @@ void ExactSummary::Insert(int32_t value) {
 
 bool ExactSummary::MayContain(int32_t value) const {
   return std::binary_search(values_.begin(), values_.end(), value);
-}
-
-bool ExactSummary::MayContainRange(int32_t lo, int32_t hi) const {
-  auto it = std::lower_bound(values_.begin(), values_.end(), lo);
-  return it != values_.end() && *it <= hi;
 }
 
 void ExactSummary::Merge(const ScalarSummary& other) {

@@ -35,8 +35,6 @@ class ScalarSummary {
   virtual ~ScalarSummary() = default;
   virtual void Insert(int32_t value) = 0;
   virtual bool MayContain(int32_t value) const = 0;
-  /// Conservative containment for any value in [lo, hi].
-  virtual bool MayContainRange(int32_t lo, int32_t hi) const = 0;
   virtual void Merge(const ScalarSummary& other) = 0;
   /// Wire size when shipped to the parent during tree construction.
   virtual int SizeBytes() const = 0;
@@ -56,14 +54,10 @@ class BloomSummary : public ScalarSummary {
 
   void Insert(int32_t value) override;
   bool MayContain(int32_t value) const override;
-  bool MayContainRange(int32_t lo, int32_t hi) const override;
   void Merge(const ScalarSummary& other) override;
   int SizeBytes() const override { return kBits / 8; }
   std::unique_ptr<ScalarSummary> Clone() const override;
   SummaryType type() const override { return SummaryType::kBloom; }
-
-  /// Fraction of set bits (diagnostic; drives false-positive estimates).
-  double FillRatio() const;
 
  private:
   uint64_t bits_[kBits / 64] = {0, 0};
@@ -74,7 +68,6 @@ class IntervalSummary : public ScalarSummary {
  public:
   void Insert(int32_t value) override;
   bool MayContain(int32_t value) const override;
-  bool MayContainRange(int32_t lo, int32_t hi) const override;
   void Merge(const ScalarSummary& other) override;
   int SizeBytes() const override { return 4; }  // two 16-bit bounds
   std::unique_ptr<ScalarSummary> Clone() const override;
@@ -97,7 +90,6 @@ class ExactSummary : public ScalarSummary {
 
   void Insert(int32_t value) override;
   bool MayContain(int32_t value) const override;
-  bool MayContainRange(int32_t lo, int32_t hi) const override;
   void Merge(const ScalarSummary& other) override;
   int SizeBytes() const override;
   std::unique_ptr<ScalarSummary> Clone() const override;
@@ -124,7 +116,6 @@ class RTreeSummary {
   /// (center, radius). Never false when a covered point lies in the disk.
   bool MayIntersectCircle(const net::Point& center, double radius) const;
   bool MayContainPoint(const net::Point& p) const;
-  int SizeBytes() const { return static_cast<int>(rects_.size()) * 8; }
   int num_rects() const { return static_cast<int>(rects_.size()); }
   bool empty() const { return rects_.empty(); }
 

@@ -82,19 +82,6 @@ TEST(TypedPoolTest, WrongPoolTagRejected) {
   EXPECT_FALSE(pool.Release(h));
 }
 
-TEST(TypedPoolTest, ClearFreesEverythingKeepsSlabs) {
-  common::SequentialPhaseScope seq_phase;
-  TypedPool<TestPayload> pool(1);
-  PayloadHandle a = pool.Allocate();
-  PayloadHandle b = pool.Allocate();
-  pool.AddRef(b);  // even leaked references are reclaimed
-  pool.Clear();
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.Get(a), nullptr);
-  EXPECT_EQ(pool.Get(b), nullptr);
-}
-
 TEST(PayloadArenaTest, RoutesHandlesToTheRightPoolAndIgnoresEmpty) {
   common::SequentialPhaseScope seq_phase;
   PayloadArena arena;
@@ -123,15 +110,6 @@ TEST(RouteTableTest, InternDedupesByContent) {
   EXPECT_EQ(rt.PathBack(a), 3);
   EXPECT_EQ(rt.PathNode(c, 1), 2);
   EXPECT_EQ(rt.InternPath(nullptr, 0), kInvalidRoute);
-}
-
-TEST(RouteTableTest, ResetKeepsIdsDense) {
-  common::SequentialPhaseScope seq_phase;
-  RouteTable rt;
-  rt.InternPath({1, 2});
-  rt.Reset();
-  EXPECT_EQ(rt.num_paths(), 0u);
-  EXPECT_EQ(rt.InternPath({5, 6}), 0);
 }
 
 TEST(RouteTableTest, MulticastNormalizesAndDedupes) {

@@ -255,7 +255,7 @@ TEST(FailureRecoveryTest, FailingOneNodeLeavesOtherLinksLossStreamIntact) {
       EXPECT_TRUE(net.Submit(std::move(m)).ok());
       net::Message to_f;
       to_f.kind = net::MessageKind::kData;
-      to_f.mode = net::RoutingMode::kLocalHop;
+      to_f.mode = net::RoutingMode::kSourcePath;
       to_f.origin = o;
       to_f.dest = f;
       to_f.route = net.routes().InternPath({o, f});

@@ -30,7 +30,7 @@ class MultiTreeTest : public ::testing::TestWithParam<int> {
     topo_ = std::make_unique<net::Topology>(std::move(*topo));
     MultiTreeOptions opts;
     opts.num_trees = GetParam();
-    multi_ = std::make_unique<MultiTree>(topo_.get(), opts, nullptr);
+    multi_ = std::make_unique<MultiTree>(topo_.get(), opts);
     IndexedAttribute attr;
     attr.name = "a";
     attr.summary_type = SummaryType::kBloom;
@@ -161,21 +161,6 @@ TEST_P(MultiTreeTest, RadiusSearchFindsRegionNodes) {
   }
 }
 
-TEST_P(MultiTreeTest, ConstructionBytesAccumulate) {
-  net::TrafficStats stats(topo_->num_nodes());
-  MultiTreeOptions opts;
-  opts.num_trees = GetParam();
-  MultiTree charged(topo_.get(), opts, &stats);
-  EXPECT_GT(stats.TotalBytesSent(), 0u);
-  IndexedAttribute attr;
-  attr.name = "a";
-  attr.value_fn = AttrOf;
-  uint64_t before = stats.TotalBytesSent();
-  ASSERT_TRUE(charged.IndexAttribute(attr, &stats).ok());
-  EXPECT_GT(stats.TotalBytesSent(), before);
-  EXPECT_GT(charged.construction_bytes(), 0);
-}
-
 INSTANTIATE_TEST_SUITE_P(TreeCounts, MultiTreeTest, ::testing::Values(1, 2, 3));
 
 // ---- exact index equivalence -------------------------------------------------
@@ -196,13 +181,10 @@ struct ReferenceExactIndex {
   /// per_tree[tree][node][child_idx], parallel to ChildrenOf(node).
   std::vector<std::vector<std::vector<std::unique_ptr<ScalarSummary>>>>
       per_tree;
-  /// Summary-aggregation bytes (tree beacons excluded).
-  int64_t aggregation_bytes = 0;
 };
 
 ReferenceExactIndex BuildReferenceIndex(const MultiTree& multi,
-                                        const KeyFn& key,
-                                        net::TrafficStats* stats) {
+                                        const KeyFn& key) {
   const int n = multi.topology().num_nodes();
   ReferenceExactIndex ref;
   ref.per_tree.resize(multi.num_trees());
@@ -222,13 +204,6 @@ ReferenceExactIndex BuildReferenceIndex(const MultiTree& multi,
       for (NodeId c : tree.ChildrenOf(u)) {
         per_node[u].push_back(subtree[c]->Clone());
         own->Merge(*subtree[c]);
-      }
-      if (tree.ParentOf(u) != -1) {
-        const int bytes = own->SizeBytes() + net::WireFormat::kLinkHeaderBytes;
-        if (stats != nullptr) {
-          stats->RecordSend(u, net::MessageKind::kBeacon, bytes);
-        }
-        ref.aggregation_bytes += bytes;
       }
       subtree[u] = std::move(own);
     }
@@ -377,7 +352,7 @@ TEST(MultiTreeExactIndexTest, DescendDecisionsMatchMaterializedSummaries) {
         attr.value_fn = key;
         auto idx = multi.IndexAttribute(attr);
         ASSERT_TRUE(idx.ok());
-        const ReferenceExactIndex ref = BuildReferenceIndex(multi, key, nullptr);
+        const ReferenceExactIndex ref = BuildReferenceIndex(multi, key);
         for (int t = 0; t < trees; ++t) {
           for (NodeId u = 0; u < n; ++u) {
             const size_t fanout = multi.tree(t).ChildrenOf(u).size();
@@ -413,7 +388,7 @@ TEST(MultiTreeExactIndexTest, SearchesMatchMaterializedSummaries) {
         attr.value_fn = key;
         auto idx = multi.IndexAttribute(attr);
         ASSERT_TRUE(idx.ok());
-        const ReferenceExactIndex ref = BuildReferenceIndex(multi, key, nullptr);
+        const ReferenceExactIndex ref = BuildReferenceIndex(multi, key);
         net::TrafficStats got_stats(n), want_stats(n);
         for (NodeId source = 0; source < n; source += source_stride) {
           for (int32_t probe : Probes(n)) {
@@ -442,38 +417,6 @@ TEST(MultiTreeExactIndexTest, SearchesMatchMaterializedSummaries) {
           }
         }
         ExpectSameTraffic(got_stats, want_stats);
-      }
-    }
-  }
-}
-
-TEST(MultiTreeExactIndexTest, ConstructionChargesMatchMaterializedSummaries) {
-  for (const ExactCase& c : ExactCases()) {
-    const int n = c.topo.num_nodes();
-    for (int trees = 1; trees <= 3; ++trees) {
-      MultiTreeOptions opts;
-      opts.num_trees = trees;
-      for (const auto& [key_name, key] : KeyFns(n)) {
-        SCOPED_TRACE(std::string(c.name) + " trees=" + std::to_string(trees) +
-                     " keys=" + key_name);
-        IndexedAttribute attr;
-        attr.name = key_name;
-        attr.summary_type = SummaryType::kExact;
-        attr.value_fn = key;
-
-        net::TrafficStats got_stats(n), want_stats(n);
-        MultiTree charged(&c.topo, opts, &got_stats);
-        ASSERT_TRUE(charged.IndexAttribute(attr, &got_stats).ok());
-        MultiTree reference(&c.topo, opts, &want_stats);
-        const ReferenceExactIndex ref =
-            BuildReferenceIndex(reference, key, &want_stats);
-        ExpectSameTraffic(got_stats, want_stats);
-        EXPECT_EQ(charged.construction_bytes(),
-                  reference.construction_bytes() + ref.aggregation_bytes);
-
-        MultiTree uncharged(&c.topo, opts);
-        ASSERT_TRUE(uncharged.IndexAttribute(attr).ok());
-        EXPECT_EQ(uncharged.construction_bytes(), charged.construction_bytes());
       }
     }
   }

@@ -34,6 +34,20 @@ TEST(ParallelForTest, SingleThreadRunsInlineOnCaller) {
   for (const auto& id : ids) EXPECT_EQ(id, caller);
 }
 
+TEST(ParallelForTest, SingleThreadExceptionStillRunsEveryIndex) {
+  // The inline path keeps the threaded path's contract: a throwing index
+  // does not stop the ones after it, and the throw surfaces at the end.
+  constexpr int kN = 8;
+  std::atomic<int> calls{0};
+  EXPECT_THROW(ParallelFor(kN, 1,
+                           [&](int i) {
+                             calls.fetch_add(1);
+                             if (i == 0) throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), kN);
+}
+
 TEST(ParallelForTest, ExceptionPropagatesAndEveryIndexStillRuns) {
   constexpr int kN = 64;
   std::atomic<int> calls{0};

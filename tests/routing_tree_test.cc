@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
-#include "net/traffic_stats.h"
 #include "routing/routing_tree.h"
 
 namespace aspen {
@@ -76,34 +75,8 @@ TEST_P(RoutingTreeTest, TreePathConnectsThroughLca) {
   }
 }
 
-TEST_P(RoutingTreeTest, SubtreeCountsAddUp) {
-  size_t total = 0;
-  for (net::NodeId c : tree_->ChildrenOf(0)) {
-    total += tree_->Subtree(c).size();
-  }
-  EXPECT_EQ(total + 1, static_cast<size_t>(topo_->num_nodes()));
-  // A subtree contains its root and only deeper nodes.
-  for (net::NodeId c : tree_->ChildrenOf(0)) {
-    auto sub = tree_->Subtree(c);
-    EXPECT_EQ(sub.front(), c);
-    for (net::NodeId u : sub) EXPECT_GE(tree_->DepthOf(u), tree_->DepthOf(c));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingTreeTest,
                          ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(RoutingTreeTrafficTest, ConstructionChargesOneBeaconPerNode) {
-  auto topo = net::Topology::Random(40, 7.0, 4);
-  ASSERT_TRUE(topo.ok());
-  net::TrafficStats stats(topo->num_nodes());
-  RoutingTree::Build(*topo, 0, &stats);
-  EXPECT_EQ(stats.TotalMessagesSent(), 40u);
-  EXPECT_EQ(static_cast<int64_t>(stats.TotalBytesSent()),
-            RoutingTree::ConstructionBytes(40));
-  EXPECT_EQ(stats.BytesByKind(net::MessageKind::kBeacon),
-            stats.TotalBytesSent());
-}
 
 TEST(RoutingTreeTrafficTest, NonBaseRoot) {
   auto topo = net::Topology::Random(40, 7.0, 4);

@@ -26,8 +26,6 @@ TEST_P(ScalarSummaryTest, NeverForgetsInsertedValues) {
     }
     for (int32_t v : inserted) {
       EXPECT_TRUE(summary->MayContain(v)) << "lost value " << v;
-      EXPECT_TRUE(summary->MayContainRange(v, v));
-      EXPECT_TRUE(summary->MayContainRange(v - 3, v + 3));
     }
   }
 }
@@ -89,22 +87,6 @@ TEST(BloomSummaryTest, LowFalsePositiveRateAtModerateFill) {
   EXPECT_LT(static_cast<double>(false_pos) / probes, 0.08);
 }
 
-TEST(BloomSummaryTest, FillRatioGrowsWithInserts) {
-  BloomSummary bloom;
-  EXPECT_DOUBLE_EQ(bloom.FillRatio(), 0.0);
-  bloom.Insert(1);
-  double one = bloom.FillRatio();
-  EXPECT_GT(one, 0.0);
-  for (int i = 2; i < 40; ++i) bloom.Insert(i);
-  EXPECT_GT(bloom.FillRatio(), one);
-}
-
-TEST(BloomSummaryTest, LargeRangeIsConservative) {
-  BloomSummary bloom;  // empty
-  EXPECT_TRUE(bloom.MayContainRange(0, 10000));  // cannot prune wide ranges
-  EXPECT_FALSE(bloom.MayContainRange(5, 10));    // small ranges are probed
-}
-
 TEST(IntervalSummaryTest, TracksBounds) {
   IntervalSummary iv;
   EXPECT_TRUE(iv.empty());
@@ -116,8 +98,6 @@ TEST(IntervalSummaryTest, TracksBounds) {
   EXPECT_TRUE(iv.MayContain(0));
   EXPECT_FALSE(iv.MayContain(11));
   EXPECT_FALSE(iv.MayContain(-6));
-  EXPECT_TRUE(iv.MayContainRange(9, 20));
-  EXPECT_FALSE(iv.MayContainRange(11, 20));
 }
 
 TEST(IntervalSummaryTest, MergeWithEmptyIsNoop) {
@@ -137,8 +117,6 @@ TEST(ExactSummaryTest, ExactMembership) {
   EXPECT_TRUE(e.MayContain(3));
   EXPECT_FALSE(e.MayContain(2));
   EXPECT_EQ(e.SizeBytes(), 4);  // two distinct 16-bit values
-  EXPECT_TRUE(e.MayContainRange(2, 3));
-  EXPECT_FALSE(e.MayContainRange(4, 100));
 }
 
 // ---- R-tree -----------------------------------------------------------------
