@@ -17,6 +17,8 @@
 #ifndef ASPEN_BENCH_ALLOC_AUDIT_H_
 #define ASPEN_BENCH_ALLOC_AUDIT_H_
 
+#include <malloc.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -34,6 +36,15 @@ inline void SetCounting(bool on) {
 }
 inline void ResetCount() { g_allocs.store(0, std::memory_order_relaxed); }
 inline uint64_t Count() { return g_allocs.load(std::memory_order_relaxed); }
+
+/// Heap in use, in bytes, summed over every glibc arena: the blocks served
+/// from the arenas (uordblks) plus the ones served by mmap (hblkhd — by
+/// default every block of 128 KiB or more, such as an n-sized table on a
+/// large mesh).
+inline size_t HeapInUseBytes() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
 
 /// Counted malloc / aligned_alloc; nullptr on failure (the nothrow forms).
 inline void* CountedMalloc(std::size_t size) noexcept {

@@ -19,8 +19,6 @@
 //
 // `--smoke` shrinks the mesh and the churn horizon for CI.
 
-#include <malloc.h>
-
 #include <chrono>
 #include <cstdlib>
 #include <vector>
@@ -37,11 +35,11 @@
 namespace aspen {
 namespace {
 
-/// Reads heap in use (glibc mallinfo2, summed over every arena) in the
-/// learn phase of the last cycle of each churn wave. Every instance of a
-/// wave departs strictly inside it, so each sample sees only the residents
-/// live; what grows from one sample to the next is what departures leave
-/// behind.
+/// Reads heap in use (allocaudit::HeapInUseBytes: arena and mmapped
+/// blocks, summed over every arena) in the learn phase of the last cycle
+/// of each churn wave. Every instance of a wave departs strictly inside
+/// it, so each sample sees only the residents live; what grows from one
+/// sample to the next is what departures leave behind.
 class HeapProbe : public sim::CycleParticipant {
  public:
   HeapProbe(int first_wave_end, int wave_period, int waves)
@@ -55,7 +53,7 @@ class HeapProbe : public sim::CycleParticipant {
     if (cycle >= first_wave_end_ &&
         (cycle - first_wave_end_) % wave_period_ == 0 &&
         samples_.size() < static_cast<size_t>(waves_)) {
-      samples_.push_back(mallinfo2().uordblks);
+      samples_.push_back(allocaudit::HeapInUseBytes());
     }
     return Status::OK();
   }

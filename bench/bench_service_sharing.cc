@@ -16,11 +16,16 @@
 //     per-source reference;
 //   - the shared-mode steady tail allocates nothing (same exemption as
 //     bench_service_churn: one slab step per shard);
+//   - a fully subscribed admission (every pair rides a co-resident owner's
+//     placement) costs what it touches: its mean heap growth over Initiate
+//     stays within 8 B per mesh node (twice its 4 B slot table) plus
+//     4 KiB per pair;
 //   - with ASPEN_STATS_OUT set, a deterministic digest covering both modes
 //     for the shards {1,4} x pipeline-depth {1,2,3} determinism matrix.
 //
 // `--smoke` shrinks the mesh and population for CI.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -44,6 +49,10 @@ struct ModeRun {
   uint64_t traffic_fingerprint = 0;
   double settle_s = 0;
   double tail_s = 0;
+  /// Heap growth over Initiate, summed over the admissions whose every
+  /// pair subscribed to a co-resident owner, and their count.
+  int64_t subscribed_admit_heap = 0;
+  int subscribed_admits = 0;
 };
 
 ModeRun RunMode(const net::Topology& topo,
@@ -71,7 +80,26 @@ ModeRun RunMode(const net::Topology& topo,
       execs.push_back(benchutil::OrDie(medium.TryAddQuery(&wl, eopts)));
     }
   }
-  benchutil::OrDie(medium.InitiateAll());
+  // Initiate in admission order, as InitiateAll does, reading heap in use
+  // around each call.
+  ModeRun out;
+  for (join::JoinExecutor* e : execs) {
+    const size_t before = allocaudit::HeapInUseBytes();
+    benchutil::OrDie(e->Initiate());
+    const size_t after = allocaudit::HeapInUseBytes();
+    const auto& pls = e->placements();
+    const bool fully_subscribed =
+        !pls.empty() &&
+        std::all_of(pls.begin(), pls.end(),
+                    [](const join::JoinExecutor::PairPlacement& pl) {
+                      return pl.shared_owner >= 0;
+                    });
+    if (fully_subscribed) {
+      out.subscribed_admit_heap +=
+          static_cast<int64_t>(after) - static_cast<int64_t>(before);
+      ++out.subscribed_admits;
+    }
+  }
 
   auto t0 = std::chrono::steady_clock::now();
   benchutil::OrDie(medium.RunCycles(settle_cycles));
@@ -85,7 +113,6 @@ ModeRun RunMode(const net::Topology& topo,
   auto t3 = std::chrono::steady_clock::now();
   allocaudit::SetCounting(false);
 
-  ModeRun out;
   out.tail_allocs = allocaudit::Count();
   out.total_bytes = medium.stats().TotalBytesSent();
   out.tail_bytes_per_cycle =
@@ -171,6 +198,27 @@ int Main(int argc, char** argv) {
                  tail_cycles, static_cast<unsigned long long>(alloc_bound));
     ++failures;
   }
+  // Heap per fully subscribed admission: such a query samples and sends
+  // nothing, so it may keep its n-entry slot table and per-pair state, but
+  // nothing sized by the mesh beyond that.
+  const int64_t heap_bound =
+      8 * static_cast<int64_t>(topo.num_nodes()) + 4096 * int64_t{num_pairs};
+  const double subscribed_heap_mean =
+      shared.subscribed_admits > 0
+          ? static_cast<double>(shared.subscribed_admit_heap) /
+                shared.subscribed_admits
+          : 0.0;
+  if (shared.subscribed_admits == 0) {
+    std::fprintf(stderr,
+                 "GATE FAIL: shared mode admitted no fully subscribed query\n");
+    ++failures;
+  } else if (subscribed_heap_mean > static_cast<double>(heap_bound)) {
+    std::fprintf(stderr,
+                 "GATE FAIL: a fully subscribed admission adds %.1f KiB of "
+                 "heap (bound %.1f KiB: 8 B/node + 4 KiB/pair)\n",
+                 subscribed_heap_mean / 1024.0, heap_bound / 1024.0);
+    ++failures;
+  }
 
   uint64_t total_results = 0;
   for (uint64_t r : shared.results) total_results += r;
@@ -190,6 +238,10 @@ int Main(int argc, char** argv) {
   std::printf("tail allocs           per-source %llu, shared %llu\n",
               static_cast<unsigned long long>(per_source.tail_allocs),
               static_cast<unsigned long long>(shared.tail_allocs));
+  std::printf("subscribed admit heap %.1f KiB mean over %d admissions "
+              "(bound %.1f KiB)\n",
+              subscribed_heap_mean / 1024.0, shared.subscribed_admits,
+              heap_bound / 1024.0);
   std::printf("wall time             per-source %.2f s, shared %.2f s\n",
               per_source.settle_s + per_source.tail_s,
               shared.settle_s + shared.tail_s);
@@ -210,6 +262,8 @@ int Main(int argc, char** argv) {
              static_cast<double>(shared.tail_allocs));
   report.Add("service_sharing", "total_results",
              static_cast<double>(total_results));
+  report.Add("service_sharing", "subscribed_admit_heap_bytes",
+             subscribed_heap_mean);
   report.Write();
 
   // Deterministic digest across the shards x pipeline-depth matrix: both

@@ -1,6 +1,7 @@
 #include "join/executor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "common/logging.h"
@@ -67,7 +68,7 @@ Status JoinExecutor::Shutdown() {
   common::SequentialPhaseScope seq;
   shutdown_ = true;
   // Buffered arrivals each own one pooled-payload reference; drop them.
-  arrivals_.ForEach([&](NodeId, std::vector<Arrival>& items) {
+  arrivals_.ForEach([&](int32_t, std::vector<Arrival>& items) {
     for (const Arrival& a : items) net_->payloads().Release(a.data);
   });
   arrivals_.Clear();
@@ -75,7 +76,8 @@ Status JoinExecutor::Shutdown() {
   // Release every interned-route reference this query holds. The routes
   // themselves are reclaimed by the data plane's epoch-safe sweep
   // (RouteTable::SweepRetired) once nothing references them and no frame
-  // is in flight.
+  // is in flight. Only producers hold plans and trees, and they lead the
+  // footprint in ascending id, so the releases keep node order.
   for (NodeState& node : nodes_) {
     for (SendPlanEntry& e : node.plan) {
       UnrefRoute(e.route_s);
@@ -209,10 +211,34 @@ const JoinExecutor::PairPlacement* JoinExecutor::FindPlacement(
 Status JoinExecutor::InitCommon() {
   s_nodes_ = workload_->SNodes();
   t_nodes_ = workload_->TNodes();
-  const int n = workload_->topology().num_nodes();
-  nodes_.assign(n, NodeState{});
-  arrivals_.Reset(n);
+  const bool naive = opts_.algorithm == Algorithm::kNaive;
   auto raw_pairs = workload_->AllJoinPairs();
+  // The footprint starts as the producers, in ascending id, then the base.
+  // Naive's producers are every eligible node (it samples by eligibility,
+  // not by pair); everyone else's are the endpoints of its pairs —
+  // subscribed ones included, so a promotion never adds a producer.
+  producers_.clear();
+  if (naive) {
+    producers_.reserve(s_nodes_.size() + t_nodes_.size());
+    std::set_union(s_nodes_.begin(), s_nodes_.end(), t_nodes_.begin(),
+                   t_nodes_.end(), std::back_inserter(producers_));
+  } else {
+    producers_.reserve(2 * raw_pairs.size());
+    for (const auto& [s, t] : raw_pairs) {
+      producers_.push_back(s);
+      producers_.push_back(t);
+    }
+    std::sort(producers_.begin(), producers_.end());
+    producers_.erase(std::unique(producers_.begin(), producers_.end()),
+                     producers_.end());
+  }
+  slot_of_.assign(workload_->topology().num_nodes(), -1);
+  nodes_.clear();
+  for (NodeId p : producers_) EnsureNode(p);
+  // The base is always in the footprint: a failover flips a pair to it from
+  // the drop handler, which may not add a slot.
+  EnsureNode(0);
+  arrivals_.Reset(static_cast<int>(producers_.size()));
   pairs_.clear();
   placements_.clear();
   placements_.reserve(raw_pairs.size());
@@ -234,17 +260,17 @@ Status JoinExecutor::InitCommon() {
   for (const PairKey& key : pairs_) {
     int32_t idx = static_cast<int32_t>(MutablePlacement(key) -
                                        placements_.data());
-    nodes_[key.s].s_pairs.push_back(idx);
-    nodes_[key.t].t_pairs.push_back(idx);
+    Node(key.s).s_pairs.push_back(idx);
+    Node(key.t).t_pairs.push_back(idx);
   }
   pair_group_.assign(placements_.size(), -1);
   // Warm every producer's last-w rings up front: ring slots allocate their
   // tuple buffer on first use, and with a short warmup that first-touch
   // tail would otherwise land inside an audited measured block.
   const int w = workload_->join_query().window.size;
-  const bool naive = opts_.algorithm == Algorithm::kNaive;
-  for (NodeId p = 0; p < n; ++p) {
-    NodeState& node = nodes_[p];
+  for (size_t i = 0; i < producers_.size(); ++i) {
+    const NodeId p = producers_[i];
+    NodeState& node = nodes_[i];
     const bool s_role = naive ? workload_->SEligible(p) : !node.s_pairs.empty();
     const bool t_role = naive ? workload_->TEligible(p) : !node.t_pairs.empty();
     if (s_role) node.recent_sent[1].Warm(w, query::kNumAttrs);
@@ -315,7 +341,9 @@ Status JoinExecutor::Initiate() {
   // it ForEachState's iteration order) is deterministic.
   for (const PairPlacement& pl : placements_) {
     if (pl.shared_owner >= 0) continue;  // served by the sharing owner
-    PairState& pst = StateAt(pl.at_base ? 0 : pl.join_node, pl.pair);
+    const NodeId site = pl.at_base ? 0 : pl.join_node;
+    EnsureNode(site);
+    PairState& pst = StateAt(site, pl.pair);
     pst.s_window.Warm(query::kNumAttrs);
     pst.t_window.Warm(query::kNumAttrs);
   }
@@ -323,12 +351,9 @@ Status JoinExecutor::Initiate() {
   // sample cycle; two cycles of slack covers multi-hop deliveries that
   // straddle a deliver phase.
   arrivals_.ReserveActive(s_nodes_.size() + t_nodes_.size());
-  {
-    const int n = workload_->topology().num_nodes();
-    for (NodeId p = 0; p < n; ++p) {
-      const size_t roles = nodes_[p].s_pairs.size() + nodes_[p].t_pairs.size();
-      if (roles > 0) arrivals_.ReserveBox(p, 2 * roles);
-    }
+  for (size_t i = 0; i < producers_.size(); ++i) {
+    const size_t roles = nodes_[i].s_pairs.size() + nodes_[i].t_pairs.size();
+    if (roles > 0) arrivals_.ReserveBox(static_cast<int32_t>(i), 2 * roles);
   }
   emit_merge_.reserve(4 * pairs_.size());
   // Per-cycle frame emissions: one data message per firing producer role
@@ -360,8 +385,10 @@ Status JoinExecutor::InitBase() {
                     MessageKind::kExploration);
     max_depth = std::max(max_depth, DepthOf(u));
   }
-  for (NodeId u = 1; u < workload_->topology().num_nodes(); ++u) {
-    if (!nodes_[u].s_pairs.empty() || !nodes_[u].t_pairs.empty()) {
+  for (size_t i = 0; i < producers_.size(); ++i) {
+    const NodeId u = producers_[i];
+    if (u == 0) continue;
+    if (!nodes_[i].s_pairs.empty() || !nodes_[i].t_pairs.empty()) {
       ChargeAlongPath(primary_tree().PathFromRoot(u), reply_bytes,
                       MessageKind::kExplorationReply);
     }
@@ -469,7 +496,6 @@ void JoinExecutor::RebuildSendPlans() {
     return;
   }
   net::RouteTable& routes = net_->routes();
-  const int n = workload_->topology().num_nodes();
   std::vector<NodeId> seg;
   auto find_or_insert = [](std::vector<SendPlanEntry>* plan,
                            NodeId dest) -> SendPlanEntry* {
@@ -483,8 +509,10 @@ void JoinExecutor::RebuildSendPlans() {
     }
     return &*it;
   };
-  for (NodeId p = 0; p < n; ++p) {
-    NodeState& node = nodes_[p];
+  // Producers in ascending id: the order routes are interned and released.
+  for (size_t i = 0; i < producers_.size(); ++i) {
+    const NodeId p = producers_[i];
+    NodeState& node = nodes_[i];
     // The old plan's interned routes lose this producer's references; a
     // route nobody else retains retires for the next epoch-safe sweep.
     for (SendPlanEntry& old : node.plan) {
@@ -563,8 +591,12 @@ void JoinExecutor::BuildProducerCache(ShardScratch* sc, NodeId begin,
   sc->cached_end = end;
   sc->producer_ids.clear();
   sc->producer_roles.clear();
-  for (NodeId p = begin; p < end; ++p) {
-    const NodeState& node = nodes_[p];
+  const size_t lo = static_cast<size_t>(
+      std::lower_bound(producers_.begin(), producers_.end(), begin) -
+      producers_.begin());
+  for (size_t i = lo; i < producers_.size() && producers_[i] < end; ++i) {
+    const NodeId p = producers_[i];
+    const NodeState& node = nodes_[i];
     const bool s_role = naive ? workload_->SEligible(p) : !node.s_pairs.empty();
     const bool t_role = naive ? workload_->TEligible(p) : !node.t_pairs.empty();
     if (!s_role && !t_role) continue;
@@ -666,7 +698,7 @@ Status JoinExecutor::OnSampleCommit(int cycle, int slot) {
       // window can be reconstructed at the base after a join-node failure.
       // The rings are consumed by the learn phase (SendWindowReplay), which
       // always follows this commit within a cycle.
-      NodeState& node = nodes_[p];
+      NodeState& node = Node(p);
       if (send_s) node.recent_sent[1].Push(t, w);
       if (send_t) node.recent_sent[0].Push(t, w);
       switch (opts_.algorithm) {
@@ -704,7 +736,8 @@ void JoinExecutor::SendToBase(NodeId p, const Tuple& t, int cycle, bool as_s,
 
 void JoinExecutor::SendYang(NodeId p, const Tuple& t, int cycle, bool as_s,
                             bool as_t) {
-  if (as_s && !nodes_[p].s_pairs.empty()) {
+  const NodeState& node = Node(p);
+  if (as_s && !node.s_pairs.empty()) {
     // Up to the root; the root re-routes to the T partners on delivery.
     Message msg;
     msg.kind = MessageKind::kData;
@@ -715,13 +748,14 @@ void JoinExecutor::SendYang(NodeId p, const Tuple& t, int cycle, bool as_s,
     msg.payload = MakeData(p, t, cycle, /*as_s=*/true, /*as_t=*/false);
     (void)SubmitToNet(msg);
   }
-  if (as_t && !nodes_[p].t_pairs.empty()) {
+  if (as_t && !node.t_pairs.empty()) {
     // T producers never transmit their samples: they buffer them locally
     // and join arriving S tuples against them. Model the local buffering as
     // a zero-cost arrival at the node itself (the arrival owns the payload
     // reference until the deliver phase).
-    arrivals_.Push(
-        p, Arrival{p, MakeData(p, t, cycle, /*as_s=*/false, /*as_t=*/true)});
+    arrivals_.Push(slot_of_[p],
+                   Arrival{p, MakeData(p, t, cycle, /*as_s=*/false,
+                                       /*as_t=*/true)});
   }
 }
 
@@ -730,7 +764,7 @@ void JoinExecutor::SendGht(NodeId p, const Tuple& t, int cycle, bool as_s,
   // One message per distinct rendezvous node over this producer's pairs,
   // from the precomputed plan (entries ascend by rendezvous node, matching
   // the old per-cycle ordered-map collection).
-  for (const SendPlanEntry& e : nodes_[p].plan) {
+  for (const SendPlanEntry& e : Node(p).plan) {
     const bool use_s = as_s && e.has_s;
     const bool use_t = as_t && e.has_t;
     if (!use_s && !use_t) continue;
@@ -763,7 +797,7 @@ void JoinExecutor::OnDeliverMsg(const Message& msg, NodeId at) {
       ASPEN_CHECK(data != nullptr);
       // Yang+07: the root relays S data down to every T partner.
       if (opts_.algorithm == Algorithm::kYang07 && at == 0 && data->as_s) {
-        for (int32_t pi : nodes_[data->producer].s_pairs) {
+        for (int32_t pi : Node(data->producer).s_pairs) {
           const PairPlacement& pl = placements_[pi];
           if (pl.at_base) continue;  // failed over: join here
           Message down;
@@ -781,7 +815,7 @@ void JoinExecutor::OnDeliverMsg(const Message& msg, NodeId at) {
       }
       // The arrival keeps the payload alive past this borrowed delivery.
       net_->payloads().AddRef(msg.payload);
-      arrivals_.Push(data->producer, Arrival{at, msg.payload});
+      arrivals_.Push(slot_of_[data->producer], Arrival{at, msg.payload});
       break;
     }
     case MessageKind::kJoinResult: {
@@ -839,8 +873,8 @@ void JoinExecutor::SuppressSharedPair(int32_t pi) {
   auto drop = [pi](std::vector<int32_t>* list) {
     list->erase(std::remove(list->begin(), list->end(), pi), list->end());
   };
-  drop(&nodes_[pair.s].s_pairs);
-  drop(&nodes_[pair.t].t_pairs);
+  drop(&Node(pair.s).s_pairs);
+  drop(&Node(pair.t).t_pairs);
 }
 
 void JoinExecutor::AdoptSharedPlacement(JoinExecutor* old_owner,
@@ -865,13 +899,14 @@ void JoinExecutor::AdoptSharedPlacement(JoinExecutor* old_owner,
   // pair-sorted, so sorted index insertion reproduces the order
   // InitCommon would have built.
   const int32_t pi = static_cast<int32_t>(pl - placements_.data());
-  common::InsertSortedUnique(&nodes_[pair.s].s_pairs, pi);
-  common::InsertSortedUnique(&nodes_[pair.t].t_pairs, pi);
+  common::InsertSortedUnique(&Node(pair.s).s_pairs, pi);
+  common::InsertSortedUnique(&Node(pair.t).t_pairs, pi);
   // Adopt the owner's window contents so the promoted query's join resumes
   // with full history — results continue exactly as the shared stream did
   // (same workload, same windows).
   const NodeId site = pl->at_base ? 0 : pl->join_node;
   PairState* ost = old_owner->FindState(site, pair);
+  EnsureNode(site);
   PairState& nst = StateAt(site, pair);
   nst.s_window.Warm(query::kNumAttrs);
   nst.t_window.Warm(query::kNumAttrs);
@@ -902,27 +937,44 @@ void JoinExecutor::TouchSite(NodeId at) {
   common::InsertSortedUnique(&active_sites_, at);
 }
 
+NodeState& JoinExecutor::EnsureNode(NodeId id) {
+  int32_t& slot = slot_of_[id];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  return nodes_[slot];
+}
+
 PairState& JoinExecutor::StateAt(NodeId at, const PairKey& pair) {
   const auto& window = workload_->join_query().window;
+  // Handlers reach here, so the site must already have its slot.
+  const int32_t slot = slot_of_[at];
+  ASPEN_CHECK(slot >= 0);
   TouchSite(at);
-  return nodes_[at].StateAt(pair, window.size, window.time_based);
+  return nodes_[slot].StateAt(pair, window.size, window.time_based);
 }
 
 PairState& JoinExecutor::StateAtShard(int shard, NodeId at,
                                       const PairKey& pair) {
   const auto& window = workload_->join_query().window;
+  // The pair's current site: its slot was made where the site was chosen
+  // (the base, for a failover the drop handler flipped).
+  const int32_t slot = slot_of_[at];
+  ASPEN_CHECK(slot >= 0);
   scratch_[shard].touched_sites.push_back(at);
-  return nodes_[at].StateAt(pair, window.size, window.time_based);
+  return nodes_[slot].StateAt(pair, window.size, window.time_based);
 }
 
 PairState* JoinExecutor::FindState(NodeId at, const PairKey& pair) {
-  return nodes_[at].FindState(pair);
+  NodeState* node = FindNode(at);
+  return node == nullptr ? nullptr : node->FindState(pair);
 }
 
 void JoinExecutor::OnDeliverBegin(int cycle) {
   (void)cycle;
   common::SequentialPhaseScope seq;
-  arrivals_.ForEach([](NodeId, std::vector<Arrival>& items) {
+  arrivals_.ForEach([](int32_t, std::vector<Arrival>& items) {
     // Stable insertion sort by delivery location: boxes are tiny and, unlike
     // std::stable_sort, this never touches the heap. ForEach also sorts the
     // active-node list, so the concurrent shard passes below are read-only.
@@ -952,9 +1004,9 @@ void JoinExecutor::OnDeliverShard(int cycle, int shard, NodeId begin,
   sc.touched_sites.clear();
   for (uint8_t phase = 0; phase < 2; ++phase) {
     const bool s_phase = phase == 0;
-    arrivals_.ForEachConst([&](NodeId producer,
+    arrivals_.ForEachConst([&](int32_t producer_slot,
                                const std::vector<Arrival>& items) {
-      const NodeState& pnode = nodes_[producer];
+      const NodeState& pnode = nodes_[producer_slot];
       const auto& pair_idxs = s_phase ? pnode.s_pairs : pnode.t_pairs;
       if (pair_idxs.empty()) return;
       for (int32_t bi = 0; bi < static_cast<int32_t>(items.size()); ++bi) {
@@ -987,7 +1039,7 @@ void JoinExecutor::OnDeliverShard(int cycle, int shard, NodeId begin,
           if (matches > 0) {
             DeferredEmit e;
             e.phase = phase;
-            e.producer = producer;
+            e.producer_slot = producer_slot;
             e.box_pos = bi;
             e.pair_pos = pp;
             e.at = a.at;
@@ -1019,8 +1071,10 @@ Status JoinExecutor::OnDeliverCommit(int cycle) {
   }
   std::sort(emit_merge_.begin(), emit_merge_.end(),
             [](const DeferredEmit* x, const DeferredEmit* y) {
-              return std::tie(x->phase, x->producer, x->box_pos, x->pair_pos) <
-                     std::tie(y->phase, y->producer, y->box_pos, y->pair_pos);
+              return std::tie(x->phase, x->producer_slot, x->box_pos,
+                              x->pair_pos) <
+                     std::tie(y->phase, y->producer_slot, y->box_pos,
+                              y->pair_pos);
             });
   for (const DeferredEmit* e : emit_merge_) {
     EmitResults(e->at, e->pair, e->matches, e->sample_cycle);
@@ -1028,7 +1082,7 @@ Status JoinExecutor::OnDeliverCommit(int cycle) {
   emit_merge_.clear();
   for (ShardScratch& sc : scratch_) sc.emits.clear();
   // The arrivals owned one payload reference each; drop them with the batch.
-  arrivals_.ForEach([&](NodeId, std::vector<Arrival>& items) {
+  arrivals_.ForEach([&](int32_t, std::vector<Arrival>& items) {
     for (const Arrival& a : items) net_->payloads().Release(a.data);
   });
   arrivals_.Clear();

@@ -5,21 +5,27 @@
 // Every executor is hosted on a join::SharedMedium, alone (core::
 // RunExperiment) or beside other queries. It is a sim::CycleParticipant:
 // the medium's sim::CycleScheduler owns the clock and phase ordering, and
-// the executor supplies the protocol logic for each phase. All node-local
-// state (join windows, counters, multicast trees) lives in a contiguous
-// per-node NodeState table indexed by NodeId; the executor is the
-// single-process embodiment of the distributed protocol, with every message
-// the protocol would send charged through the network simulator.
+// the executor supplies the protocol logic for each phase. Node-local state
+// (join windows, pair lists, send plans, multicast trees) exists only for
+// the query's footprint — its producers, the base, its join sites and, under
+// path collapsing, the path nodes whose flow tables snooping reads — in a
+// compact NodeState table reached through an n-entry slot table, so a
+// query's memory, admission and teardown scale with its pairs, not with the
+// mesh. The executor is the single-process embodiment of the distributed
+// protocol, with every message the protocol would send charged through the
+// network simulator.
 
 #ifndef ASPEN_JOIN_EXECUTOR_H_
 #define ASPEN_JOIN_EXECUTOR_H_
 
+#include <deque>
 #include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "adapt/reopt.h"
+#include "common/logging.h"
 #include "common/phase.h"
 #include "common/status.h"
 #include "join/node_state.h"
@@ -48,8 +54,9 @@ class SharedMedium;
 /// per-shard scratch and commits the submissions in node order; delivery
 /// probes each shard's own join sites concurrently and replays deferred
 /// result emissions in canonical (side, producer, arrival, pair) order, so
-/// runs are byte-identical for every shard count. Executors are built only
-/// by SharedMedium::TryAddQuery, so every one is attached to a medium.
+/// runs are byte-identical for every shard count. Node state exists only
+/// for the query's footprint (see `nodes_`). Executors are built only by
+/// SharedMedium::TryAddQuery, so every one is attached to a medium.
 class JoinExecutor : public sim::CycleParticipant,
                      public sim::ShardPhaseParticipant {
  public:
@@ -145,8 +152,9 @@ class JoinExecutor : public sim::CycleParticipant,
 
   /// One buffered data arrival: the pooled payload `data` delivered at node
   /// `at` (the executor holds a payload reference until the deliver phase).
-  /// Mailboxes are keyed by producer so the deliver phase applies arrivals
-  /// in deterministic (producer, location) order.
+  /// Mailboxes are keyed by producer slot — ascending slot is ascending
+  /// producer id — so the deliver phase applies arrivals in deterministic
+  /// (producer, location) order.
   struct Arrival {
     net::NodeId at;
     net::PayloadHandle data;
@@ -234,6 +242,28 @@ class JoinExecutor : public sim::CycleParticipant,
   void AdoptSharedPlacement(JoinExecutor* old_owner, const PairKey& pair)
       ASPEN_REQUIRES_SEQUENTIAL;
 
+  // -- footprint node state ------------------------------------------------
+  /// The NodeState of footprint node `id` (producers, the base and every
+  /// current join site always have one).
+  NodeState& Node(net::NodeId id) {
+    ASPEN_DCHECK(slot_of_[id] >= 0);
+    return nodes_[slot_of_[id]];
+  }
+  const NodeState& Node(net::NodeId id) const {
+    ASPEN_DCHECK(slot_of_[id] >= 0);
+    return nodes_[slot_of_[id]];
+  }
+  /// The NodeState of `id`, or nullptr when `id` is outside the footprint.
+  NodeState* FindNode(net::NodeId id) {
+    const int32_t slot = slot_of_[id];
+    return slot < 0 ? nullptr : &nodes_[slot];
+  }
+  /// Gives `id` a slot if it has none. Only phases that no pipelined sample
+  /// stage overlaps may add slots: Initiate, the re-optimize and learn
+  /// phases, and the churn hooks — never a delivery/drop/snoop handler or
+  /// a shard pass. Appending moves no existing NodeState.
+  NodeState& EnsureNode(net::NodeId id) ASPEN_REQUIRES_SEQUENTIAL;
+
   PairState& StateAt(net::NodeId at, const PairKey& pair)
       ASPEN_REQUIRES_SEQUENTIAL;
   /// StateAt for concurrent shard passes: the touched site is recorded in
@@ -247,7 +277,7 @@ class JoinExecutor : public sim::CycleParticipant,
   template <typename Fn>
   void ForEachState(Fn&& fn) {
     for (net::NodeId at : active_sites_) {
-      for (PairState& st : nodes_[at].states) fn(at, st);
+      for (PairState& st : Node(at).states) fn(at, st);
     }
   }
 
@@ -375,8 +405,17 @@ class JoinExecutor : public sim::CycleParticipant,
   /// Placement table, sorted by pair key; NodeState pair lists hold indices
   /// into it, so the per-cycle dispatch is pure array indexing.
   std::vector<PairPlacement> placements_;
-  /// Contiguous per-node state, indexed by NodeId.
-  std::vector<NodeState> nodes_;
+  /// Footprint node state, one entry per slot. Producers hold slots
+  /// 0..producers_.size()-1 in ascending id; the base, join sites and flow
+  /// nodes append after them. A deque, so an append never moves a state a
+  /// pipelined sample stage may be reading.
+  std::deque<NodeState> nodes_;
+  /// NodeId -> slot in nodes_, -1 outside the footprint (n entries).
+  std::vector<int32_t> slot_of_;
+  /// The query's producers, ascending; producers_[i] holds slot i. Every
+  /// per-producer walk (send plans, multicast trees, producer caches,
+  /// teardown) runs over this list in ascending id.
+  std::vector<net::NodeId> producers_;
   /// Nodes currently holding at least one PairState, sorted ascending.
   std::vector<net::NodeId> active_sites_;
   std::vector<opt::JoinGroup> groups_;
@@ -395,7 +434,7 @@ class JoinExecutor : public sim::CycleParticipant,
   /// that reproduces the sequential emission order exactly.
   struct DeferredEmit {
     uint8_t phase = 0;  // 0 = S side, 1 = T side
-    net::NodeId producer = -1;
+    int32_t producer_slot = -1;  // ascending slot == ascending producer id
     int32_t box_pos = 0;
     int32_t pair_pos = 0;
     net::NodeId at = -1;
@@ -459,7 +498,7 @@ class JoinExecutor : public sim::CycleParticipant,
   /// per-producer send plans before sending.
   bool plans_dirty_ = false;
 
-  /// Data arrivals buffered during transmit, keyed by producer.
+  /// Data arrivals buffered during transmit, keyed by producer slot.
   sim::NodeMailboxes<Arrival> arrivals_;
   /// Failover replays awaiting a retry: (pair, as_s), in detection order.
   std::vector<std::pair<PairKey, bool>> pending_replays_;

@@ -86,16 +86,17 @@ Status JoinExecutor::InitInnet() {
   ASPEN_RETURN_NOT_OK(ExplorePairs());
   if (opts_.features.group_opt) RunGroupOpt(/*charge_traffic=*/true);
   if (opts_.features.multicast) BuildMulticastRoutes(/*charge_traffic=*/true);
-  // Flow tables for opportunistic snooping (path collapsing).
+  // Flow tables for opportunistic snooping (path collapsing); the path
+  // nodes that carry one join the footprint here.
   if (opts_.features.path_collapse) {
     for (const auto& pl : placements_) {
       if (pl.path.empty()) continue;
       for (int i = 1; i <= pl.path_index; ++i) {
-        nodes_[pl.path[i]].AddFlow(pl.pair.s);
+        EnsureNode(pl.path[i]).AddFlow(pl.pair.s);
       }
       for (int i = pl.path_index;
            i < static_cast<int>(pl.path.size()) - 1; ++i) {
-        nodes_[pl.path[i]].AddFlow(pl.pair.t);
+        EnsureNode(pl.path[i]).AddFlow(pl.pair.t);
       }
     }
   }
@@ -107,8 +108,9 @@ Status JoinExecutor::ExplorePairs() {
   const int w = workload_->join_query().window.size;
   auto depth_of = [this](NodeId id) { return DepthOf(id); };
 
-  for (NodeId s : s_nodes_) {
-    if (nodes_[s].s_pairs.empty()) continue;
+  for (size_t i = 0; i < producers_.size(); ++i) {
+    if (nodes_[i].s_pairs.empty()) continue;
+    const NodeId s = producers_[i];
     auto accept = [this, s](NodeId t) {
       return t != s && workload_->StaticPairJoins(s, t);
     };
@@ -177,7 +179,7 @@ void JoinExecutor::SendInnet(NodeId p, const Tuple& t, int cycle, bool as_s,
   // The destination set, role flags and route segments are precomputed in
   // the producer's SendPlan (rebuilt on placement changes); a steady-state
   // send walks the plan and allocates nothing.
-  const NodeState& node = nodes_[p];
+  const NodeState& node = Node(p);
   const bool base_s = as_s && node.plan_base_s;
   const bool base_t = as_t && node.plan_base_t;
   bool any_dest = false;
@@ -223,8 +225,8 @@ void JoinExecutor::SendInnet(NodeId p, const Tuple& t, int cycle, bool as_s,
 double JoinExecutor::ComputeDeltaCp(
     NodeId member, bool as_s, const workload::SelectivityParams& est) const {
   const int w = workload_->join_query().window.size;
-  const auto& pair_idxs =
-      as_s ? nodes_[member].s_pairs : nodes_[member].t_pairs;
+  const NodeState& mnode = Node(member);
+  const auto& pair_idxs = as_s ? mnode.s_pairs : mnode.t_pairs;
   if (pair_idxs.empty()) return 0.0;
   // Group the member's pairs by candidate join node.
   std::map<NodeId, opt::ProducerJoinNode> per_join;
@@ -302,8 +304,8 @@ void JoinExecutor::DecideGroupFor(const opt::JoinGroup& group,
     // Members use the estimates their placements were computed with; with
     // learning on these are the learned values.
     workload::SelectivityParams est = opts_.assumed;
-    const auto& pair_idxs =
-        as_s ? nodes_[member].s_pairs : nodes_[member].t_pairs;
+    const NodeState& mnode = Node(member);
+    const auto& pair_idxs = as_s ? mnode.s_pairs : mnode.t_pairs;
     if (!pair_idxs.empty()) {
       est = placements_[pair_idxs.front()].placed_with;
     }
@@ -362,10 +364,10 @@ void JoinExecutor::RebuildProducerRoute(NodeId p, bool /*as_s*/,
       add_segment(seg);
     }
   };
-  collect(nodes_[p].s_pairs, true);
-  collect(nodes_[p].t_pairs, false);
+  NodeState& pnode = Node(p);
+  collect(pnode.s_pairs, true);
+  collect(pnode.t_pairs, false);
 
-  NodeState& pnode = nodes_[p];
   if (targets.empty()) {
     UnrefMcast(pnode.mcast_route);
     pnode.mcast_route = net::kInvalidRoute;
@@ -456,9 +458,9 @@ void JoinExecutor::RebuildSharedProducerRoute(NodeId p, bool charge_traffic) {
       tset.insert(pl.join_node);
     }
   };
-  collect(nodes_[p].s_pairs);
-  collect(nodes_[p].t_pairs);
-  NodeState& pnode = nodes_[p];
+  NodeState& pnode = Node(p);
+  collect(pnode.s_pairs);
+  collect(pnode.t_pairs);
   if (tset.empty()) {
     UnrefMcast(pnode.mcast_route);
     pnode.mcast_route = net::kInvalidRoute;
@@ -498,9 +500,10 @@ void JoinExecutor::RebuildSharedProducerRoute(NodeId p, bool charge_traffic) {
 }
 
 void JoinExecutor::BuildMulticastRoutes(bool charge_traffic) {
-  for (NodeId p = 0; p < static_cast<NodeId>(nodes_.size()); ++p) {
-    if (nodes_[p].s_pairs.empty() && nodes_[p].t_pairs.empty()) continue;
-    RebuildProducerRoute(p, true, charge_traffic);
+  // Producers in ascending id: the order trees are interned and released.
+  for (size_t i = 0; i < producers_.size(); ++i) {
+    if (nodes_[i].s_pairs.empty() && nodes_[i].t_pairs.empty()) continue;
+    RebuildProducerRoute(producers_[i], true, charge_traffic);
   }
 }
 
@@ -518,10 +521,13 @@ void JoinExecutor::OnSnoop(const Message& msg, NodeId snooper, NodeId from,
   if (data == nullptr) return;
   NodeId p = data->producer;
   if (snooper == p || from == p || to == p) return;
-  if (!nodes_[snooper].FlowsThrough(p)) return;
-  if (!nodes_[from].FlowsThrough(p)) return;
+  // Only footprint nodes carry flow tables.
+  const NodeState* snode = FindNode(snooper);
+  const NodeState* fnode = FindNode(from);
+  if (snode == nullptr || !snode->FlowsThrough(p)) return;
+  if (fnode == nullptr || !fnode->FlowsThrough(p)) return;
   auto link = std::minmax(snooper, from);
-  if (!nodes_[p].extra_links.insert({link.first, link.second}).second) return;
+  if (!Node(p).extra_links.insert({link.first, link.second}).second) return;
   // Notify the producer (Algorithm 2's optimization tuple).
   ChargeAlongPath(primary_tree().TreePath(snooper, p), kHintBytes,
                   MessageKind::kCollapseHint);
@@ -533,9 +539,14 @@ void JoinExecutor::OnSnoop(const Message& msg, NodeId snooper, NodeId from,
 void JoinExecutor::MoveState(const PairKey& pair, NodeId from, NodeId to,
                              bool charge) {
   if (from == to) return;
-  std::optional<PairState> moving = nodes_[from].TakeState(pair);
+  // The new site joins the footprint even when no state moves: the next
+  // arrival for the pair probes there.
+  NodeState& dst = EnsureNode(to);
+  NodeState* src = FindNode(from);
+  if (src == nullptr) return;  // never held state
+  std::optional<PairState> moving = src->TakeState(pair);
   if (!moving.has_value()) return;  // nothing buffered yet
-  if (nodes_[from].states.empty()) {
+  if (src->states.empty()) {
     common::EraseSorted(&active_sites_, from);
   }
   if (charge) {
@@ -545,7 +556,7 @@ void JoinExecutor::MoveState(const PairKey& pair, NodeId from, NodeId to,
                     MessageKind::kWindowTransfer);
   }
   TouchSite(to);
-  nodes_[to].AdoptState(std::move(*moving));
+  dst.AdoptState(std::move(*moving));
 }
 
 void JoinExecutor::MigratePair(PairPlacement* pl, bool new_at_base,
@@ -743,9 +754,11 @@ bool JoinExecutor::StartMigrationTransfer(PlannedMigration* m) {
   // to the deliver phase. The placement flips here and the send plans flip
   // atomically at the next sample begin (plans_dirty_), releasing the old
   // routes' references to the epoch GC.
-  std::optional<PairState> moving = nodes_[from].TakeState(m->pair);
+  NodeState& dst = EnsureNode(to);
+  NodeState& src = Node(from);
+  std::optional<PairState> moving = src.TakeState(m->pair);
   if (moving.has_value()) {
-    if (nodes_[from].states.empty()) {
+    if (src.states.empty()) {
       common::EraseSorted(&active_sites_, from);
     }
     net::PayloadHandle h = window_pool_->Allocate();
@@ -777,7 +790,7 @@ bool JoinExecutor::StartMigrationTransfer(PlannedMigration* m) {
     moving->s_window.Clear();
     moving->t_window.Clear();
     TouchSite(to);
-    nodes_[to].AdoptState(std::move(*moving));
+    dst.AdoptState(std::move(*moving));
   }
   pl->at_base = m->new_at_base;
   if (!m->new_at_base) {
@@ -795,7 +808,7 @@ void JoinExecutor::SendWindowReplay(const PairKey& pair, NodeId producer,
                                     bool as_s) {
   // Forward the producer's last w tuples so the base can reconstruct its
   // side of the join window.
-  const RecentRing& recent = nodes_[producer].recent_sent[as_s];
+  const RecentRing& recent = Node(producer).recent_sent[as_s];
   net::PayloadHandle h = window_pool_->Allocate();
   WindowTransferPayload* wt = window_pool_->Get(h);
   wt->pair = pair;
@@ -914,8 +927,8 @@ void JoinExecutor::OnDrop(const Message& msg, NodeId at, NodeId next) {
       }
     }
   };
-  if (data->as_s) fail_role(nodes_[p].s_pairs);
-  if (data->as_t) fail_role(nodes_[p].t_pairs);
+  if (data->as_s) fail_role(Node(p).s_pairs);
+  if (data->as_t) fail_role(Node(p).t_pairs);
 }
 
 }  // namespace join

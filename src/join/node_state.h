@@ -1,13 +1,16 @@
-// Contiguous per-node join-execution state.
+// Per-node join-execution state of one query.
 //
-// The executor keeps one NodeState per topology node in a dense vector
-// indexed by NodeId, replacing the former global map<pair<NodeId, ...>>
-// registries. Everything the per-cycle hot path touches — which pairs a
+// The executor keeps one NodeState per node of the query's footprint — its
+// producers, the base, its join sites and, under path collapsing, the path
+// nodes whose flow tables snooping reads — reached from a NodeId through
+// an n-entry slot table (JoinExecutor::slot_of_); a node outside the
+// footprint costs the query 4 bytes. Producers hold the first slots in
+// ascending id. Everything the per-cycle hot path touches — which pairs a
 // producer serves, the join windows held at a node, the producer's cached
-// multicast route and precomputed send plan — is one array index away; the
-// small per-node pair tables are sorted vectors, so iteration order stays
-// deterministic ((node, pair) ascending, exactly the order the old ordered
-// maps produced).
+// multicast route and precomputed send plan — is two array indexes away;
+// the small per-node pair tables are sorted vectors, so iteration order
+// stays deterministic ((node, pair) ascending, exactly the order the old
+// ordered maps produced).
 
 #ifndef ASPEN_JOIN_NODE_STATE_H_
 #define ASPEN_JOIN_NODE_STATE_H_

@@ -1,64 +1,68 @@
-// Per-node mailboxes for the simulation kernel.
+// Dense-keyed mailboxes for the simulation kernel.
 //
 // Arrivals buffered during the transmit phase are applied in the deliver
-// phase in deterministic (node id, then arrival order) order. Boxes are
-// contiguous — one vector slot per node — so the hot push path is a single
-// index; the active-node list keeps draining proportional to the number of
-// nodes that actually received mail, not the network size.
+// phase in deterministic (key, then arrival order) order. A key is a small
+// dense index chosen by the owner: JoinExecutor keys its boxes by producer
+// footprint slot, and producers take slots in ascending node id, so key
+// order is producer order. Boxes are contiguous — one vector slot per key —
+// so the hot push path is a single index; the active-key list keeps
+// draining proportional to the number of boxes that actually received mail,
+// not the number of keys.
 
 #ifndef ASPEN_SIM_MAILBOX_H_
 #define ASPEN_SIM_MAILBOX_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/phase.h"
-#include "net/topology.h"
 
 namespace aspen {
 namespace sim {
 
-/// \brief Contiguous per-node buffers of `T`, drained in node-id order.
+/// \brief Contiguous buffers of `T` keyed by a dense index, drained in
+/// ascending key order.
 template <typename T>
 class NodeMailboxes {
  public:
   NodeMailboxes() = default;
 
-  /// Sizes the table for `num_nodes` nodes and empties every box.
-  void Reset(int num_nodes) ASPEN_REQUIRES_SEQUENTIAL {
-    boxes_.assign(num_nodes, {});
+  /// Sizes the table for keys 0..num_keys-1 and empties every box.
+  void Reset(int num_keys) ASPEN_REQUIRES_SEQUENTIAL {
+    boxes_.assign(num_keys, {});
     active_.clear();
     sorted_ = true;
   }
 
-  /// Pre-grows box `id`'s capacity so steady-state pushes don't chase the
+  /// Pre-grows box `key`'s capacity so steady-state pushes don't chase the
   /// high-water mark with reallocations mid-run.
-  void ReserveBox(net::NodeId id, size_t cap) ASPEN_REQUIRES_SEQUENTIAL { boxes_[id].reserve(cap); }
-  /// Pre-grows the active-node list (its high-water is the number of nodes
+  void ReserveBox(int32_t key, size_t cap) ASPEN_REQUIRES_SEQUENTIAL { boxes_[key].reserve(cap); }
+  /// Pre-grows the active-key list (its high-water is the number of boxes
   /// that receive mail in one batch).
   void ReserveActive(size_t n) ASPEN_REQUIRES_SEQUENTIAL { active_.reserve(n); }
 
-  void Push(net::NodeId id, T item) ASPEN_REQUIRES_SEQUENTIAL {
-    if (boxes_[id].empty()) {
-      active_.push_back(id);
+  void Push(int32_t key, T item) ASPEN_REQUIRES_SEQUENTIAL {
+    if (boxes_[key].empty()) {
+      active_.push_back(key);
       sorted_ = false;
     }
-    boxes_[id].push_back(std::move(item));
+    boxes_[key].push_back(std::move(item));
   }
 
   bool empty() const { return active_.empty(); }
 
-  /// Invokes `fn(node, items)` for every non-empty box in ascending node
+  /// Invokes `fn(key, items)` for every non-empty box in ascending key
   /// order. Non-destructive: call Clear() when done (ForEach may be run
   /// multiple times over the same mail, e.g. one pass per delivery phase;
-  /// the node ordering is computed once per batch, not per pass).
+  /// the key ordering is computed once per batch, not per pass).
   template <typename Fn>
   void ForEach(Fn&& fn) ASPEN_REQUIRES_SEQUENTIAL {
     Prepare();
-    for (net::NodeId id : active_) fn(id, boxes_[id]);
+    for (int32_t key : active_) fn(key, boxes_[key]);
   }
 
-  /// Sorts the active-node list now so that subsequent concurrent
+  /// Sorts the active-key list now so that subsequent concurrent
   /// ForEachConst passes (the sharded deliver phase reads boxes from every
   /// worker) touch no shared mutable state.
   void Prepare() ASPEN_REQUIRES_SEQUENTIAL {
@@ -72,18 +76,18 @@ class NodeMailboxes {
   /// called since the last Push.
   template <typename Fn>
   void ForEachConst(Fn&& fn) const {
-    for (net::NodeId id : active_) fn(id, boxes_[id]);
+    for (int32_t key : active_) fn(key, boxes_[key]);
   }
 
   void Clear() ASPEN_REQUIRES_SEQUENTIAL {
-    for (net::NodeId id : active_) boxes_[id].clear();
+    for (int32_t key : active_) boxes_[key].clear();
     active_.clear();
     sorted_ = true;
   }
 
  private:
   std::vector<std::vector<T>> boxes_;
-  std::vector<net::NodeId> active_;
+  std::vector<int32_t> active_;
   bool sorted_ = true;
 };
 

@@ -350,8 +350,13 @@ void Workload::WarmFilterCache() const {
   // hits — no mutation, no reference invalidation — which is what makes
   // PassSFilter/PassTFilter safe from sharded sample workers.
   (void)FilterFor(default_params_);
-  for (const auto& override_params : node_params_) {
-    if (override_params.has_value()) (void)FilterFor(*override_params);
+  // Overrides are only ever added, and each addition invalidates the
+  // verdict table, so a valid table means their designs are cached: walk
+  // the n override slots only while there is an override and no table.
+  if (num_node_overrides_ > 0 && !node_filters_valid_) {
+    for (const auto& override_params : node_params_) {
+      if (override_params.has_value()) (void)FilterFor(*override_params);
+    }
   }
   if (switch_cycle_ != INT32_MAX) (void)FilterFor(switch_params_);
   // Tabulate the per-node verdict table used by the override path of
