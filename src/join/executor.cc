@@ -269,12 +269,9 @@ Status JoinExecutor::InitCommon() {
   // tail would otherwise land inside an audited measured block.
   const int w = workload_->join_query().window.size;
   for (size_t i = 0; i < producers_.size(); ++i) {
-    const NodeId p = producers_[i];
-    NodeState& node = nodes_[i];
-    const bool s_role = naive ? workload_->SEligible(p) : !node.s_pairs.empty();
-    const bool t_role = naive ? workload_->TEligible(p) : !node.t_pairs.empty();
-    if (s_role) node.recent_sent[1].Warm(w, query::kNumAttrs);
-    if (t_role) node.recent_sent[0].Warm(w, query::kNumAttrs);
+    const uint8_t roles = ProducerRoles(i);
+    if (roles & 1) nodes_[i].recent_sent[1].Warm(w, query::kNumAttrs);
+    if (roles & 2) nodes_[i].recent_sent[0].Warm(w, query::kNumAttrs);
   }
   return Status::OK();
 }
@@ -489,26 +486,39 @@ net::PayloadHandle JoinExecutor::MakeData(NodeId p, const Tuple& t, int cycle,
   return h;
 }
 
+uint8_t JoinExecutor::ProducerRoles(size_t i) const {
+  const NodeId p = producers_[i];
+  const NodeState& node = nodes_[i];
+  const bool naive = opts_.algorithm == Algorithm::kNaive;
+  const bool s_role = naive ? workload_->SEligible(p) : !node.s_pairs.empty();
+  const bool t_role = naive ? workload_->TEligible(p) : !node.t_pairs.empty();
+  return static_cast<uint8_t>((s_role ? 1 : 0) | (t_role ? 2 : 0));
+}
+
 void JoinExecutor::RebuildSendPlans() {
   plans_dirty_ = false;
-  if (opts_.algorithm != Algorithm::kInnet &&
-      opts_.algorithm != Algorithm::kGht) {
-    return;
-  }
+  const Algorithm algo = opts_.algorithm;
+  // Whether a role's samples for one pair go to the base instead of the
+  // pair's site. Yang+07's root relays S samples to the T partners.
+  auto to_base = [algo](const PairPlacement& pl, bool role_s) {
+    switch (algo) {
+      case Algorithm::kYang07:
+        return role_s;
+      case Algorithm::kGht:
+        return false;
+      case Algorithm::kInnet:
+        return pl.at_base || pl.path.empty();
+      default:
+        return true;
+    }
+  };
+  // Sites are reached along an interned source path, except GHT on motes,
+  // which routes geo-greedily; a self-addressed site never leaves the node.
+  const RoutingMode mode = algo == Algorithm::kGht && !opts_.mesh_mode
+                               ? RoutingMode::kGeoGreedy
+                               : RoutingMode::kSourcePath;
   net::RouteTable& routes = net_->routes();
   std::vector<NodeId> seg;
-  auto find_or_insert = [](std::vector<SendPlanEntry>* plan,
-                           NodeId dest) -> SendPlanEntry* {
-    auto it = std::lower_bound(plan->begin(), plan->end(), dest,
-                               [](const SendPlanEntry& e, NodeId d) {
-                                 return e.dest < d;
-                               });
-    if (it == plan->end() || it->dest != dest) {
-      it = plan->insert(it, SendPlanEntry{});
-      it->dest = dest;
-    }
-    return &*it;
-  };
   // Producers in ascending id: the order routes are interned and released.
   for (size_t i = 0; i < producers_.size(); ++i) {
     const NodeId p = producers_[i];
@@ -520,53 +530,50 @@ void JoinExecutor::RebuildSendPlans() {
       UnrefRoute(old.route_t);
     }
     node.plan.clear();
+    if (algo == Algorithm::kNaive) {
+      const uint8_t roles = ProducerRoles(i);
+      node.plan_base_s = roles & 1;
+      node.plan_base_t = roles & 2;
+      continue;
+    }
     node.plan_base_s = false;
     node.plan_base_t = false;
-    if (node.s_pairs.empty() && node.t_pairs.empty()) continue;
-    if (opts_.algorithm == Algorithm::kInnet) {
-      // Mirror the historical per-cycle destination collection: per role,
-      // the first in-network pair mapping to a join node defines the route.
-      auto collect = [&](const std::vector<int32_t>& pair_idxs, bool role_s) {
-        for (int32_t pi : pair_idxs) {
-          const PairPlacement& pl = placements_[pi];
-          if (pl.at_base || pl.path.empty()) {
-            (role_s ? node.plan_base_s : node.plan_base_t) = true;
-            continue;
-          }
-          SendPlanEntry* e = find_or_insert(&node.plan, pl.join_node);
-          bool& role_flag = role_s ? e->has_s : e->has_t;
-          if (role_flag) continue;
-          role_flag = true;
+    // Per role, the first pair mapping to a site defines the route — the
+    // historical per-cycle destination collection.
+    auto collect = [&](const std::vector<int32_t>& pair_idxs, bool role_s) {
+      for (int32_t pi : pair_idxs) {
+        const PairPlacement& pl = placements_[pi];
+        if (to_base(pl, role_s)) {
+          (role_s ? node.plan_base_s : node.plan_base_t) = true;
+          continue;
+        }
+        auto it = std::lower_bound(node.plan.begin(), node.plan.end(),
+                                   pl.join_node,
+                                   [](const SendPlanEntry& e, NodeId d) {
+                                     return e.dest < d;
+                                   });
+        if (it == node.plan.end() || it->dest != pl.join_node) {
+          it = node.plan.insert(it, SendPlanEntry{});
+          it->dest = pl.join_node;
+          it->mode = mode;
+        }
+        bool& role_flag = role_s ? it->has_s : it->has_t;
+        if (role_flag) continue;
+        role_flag = true;
+        net::RouteId rid = net::kInvalidRoute;
+        if (algo == Algorithm::kInnet) {
           RoleSegment(pl, role_s, &seg);
-          net::RouteId rid = routes.InternPath(seg);
-          (role_s ? e->route_s : e->route_t) = rid;
-          RefRoute(rid);
+          rid = routes.InternPath(seg);
+        } else if (algo == Algorithm::kGht && opts_.mesh_mode) {
+          rid = routes.InternPath(
+              workload_->topology().ShortestPath(p, pl.join_node));
         }
-      };
-      collect(node.s_pairs, true);
-      collect(node.t_pairs, false);
-    } else {
-      // GHT: one destination per distinct rendezvous node; mesh mode ships
-      // along the interned shortest path, mote mode routes geo-greedily.
-      auto collect = [&](const std::vector<int32_t>& pair_idxs, bool role_s) {
-        for (int32_t pi : pair_idxs) {
-          SendPlanEntry* e =
-              find_or_insert(&node.plan, placements_[pi].join_node);
-          (role_s ? e->has_s : e->has_t) = true;
-        }
-      };
-      collect(node.s_pairs, true);
-      collect(node.t_pairs, false);
-      if (opts_.mesh_mode) {
-        for (SendPlanEntry& e : node.plan) {
-          e.route_s = e.route_t = routes.InternPath(
-              workload_->topology().ShortestPath(p, e.dest));
-          // One reference per retained field, so releases balance exactly.
-          RefRoute(e.route_s);
-          RefRoute(e.route_t);
-        }
+        (role_s ? it->route_s : it->route_t) = rid;
+        RefRoute(rid);
       }
-    }
+    };
+    collect(node.s_pairs, true);
+    collect(node.t_pairs, false);
   }
 }
 
@@ -586,7 +593,6 @@ void JoinExecutor::BuildProducerCache(ShardScratch* sc, NodeId begin,
   // Producer roles are fixed once Initiate has filled the pair lists (the
   // only writer), and naive eligibility is a pure function of statics, so
   // the scan runs once per shard range rather than every cycle.
-  const bool naive = opts_.algorithm == Algorithm::kNaive;
   sc->cached_begin = begin;
   sc->cached_end = end;
   sc->producer_ids.clear();
@@ -595,14 +601,10 @@ void JoinExecutor::BuildProducerCache(ShardScratch* sc, NodeId begin,
       std::lower_bound(producers_.begin(), producers_.end(), begin) -
       producers_.begin());
   for (size_t i = lo; i < producers_.size() && producers_[i] < end; ++i) {
-    const NodeId p = producers_[i];
-    const NodeState& node = nodes_[i];
-    const bool s_role = naive ? workload_->SEligible(p) : !node.s_pairs.empty();
-    const bool t_role = naive ? workload_->TEligible(p) : !node.t_pairs.empty();
-    if (!s_role && !t_role) continue;
-    sc->producer_ids.push_back(p);
-    sc->producer_roles.push_back(static_cast<uint8_t>((s_role ? 1 : 0) |
-                                                      (t_role ? 2 : 0)));
+    const uint8_t roles = ProducerRoles(i);
+    if (roles == 0) continue;
+    sc->producer_ids.push_back(producers_[i]);
+    sc->producer_roles.push_back(roles);
   }
   // Pre-size every slab of the ring for the worst case (every producer
   // passes both filters) so the steady-state sample stage never allocates;
@@ -701,85 +703,53 @@ Status JoinExecutor::OnSampleCommit(int cycle, int slot) {
       NodeState& node = Node(p);
       if (send_s) node.recent_sent[1].Push(t, w);
       if (send_t) node.recent_sent[0].Push(t, w);
-      switch (opts_.algorithm) {
-        case Algorithm::kNaive:
-        case Algorithm::kBase:
-          SendToBase(p, t, cycle, send_s, send_t);
-          break;
-        case Algorithm::kYang07:
-          SendYang(p, t, cycle, send_s, send_t);
-          break;
-        case Algorithm::kGht:
-          SendGht(p, t, cycle, send_s, send_t);
-          break;
-        case Algorithm::kInnet:
-          SendInnet(p, t, cycle, send_s, send_t);
-          break;
-      }
+      Send(p, t, cycle, send_s, send_t);
     }
     slab.staged_count = 0;
   }
   return Status::OK();
 }
 
-void JoinExecutor::SendToBase(NodeId p, const Tuple& t, int cycle, bool as_s,
-                              bool as_t) {
+void JoinExecutor::Send(NodeId p, const Tuple& t, int cycle, bool as_s,
+                        bool as_t) {
+  // A steady-state send walks the precomputed plan and allocates nothing.
+  const NodeState& node = Node(p);
   Message msg;
   msg.kind = MessageKind::kData;
-  msg.mode = RoutingMode::kTreeToRoot;
   msg.origin = p;
-  msg.dest = 0;
   msg.size_bytes = workload_->DataBytes();
-  msg.payload = MakeData(p, t, cycle, as_s, as_t);
-  (void)SubmitToNet(msg);
-}
-
-void JoinExecutor::SendYang(NodeId p, const Tuple& t, int cycle, bool as_s,
-                            bool as_t) {
-  const NodeState& node = Node(p);
-  if (as_s && !node.s_pairs.empty()) {
-    // Up to the root; the root re-routes to the T partners on delivery.
-    Message msg;
-    msg.kind = MessageKind::kData;
-    msg.mode = RoutingMode::kTreeToRoot;
-    msg.origin = p;
-    msg.dest = 0;
-    msg.size_bytes = workload_->DataBytes();
-    msg.payload = MakeData(p, t, cycle, /*as_s=*/true, /*as_t=*/false);
-    (void)SubmitToNet(msg);
-  }
-  if (as_t && !node.t_pairs.empty()) {
-    // T producers never transmit their samples: they buffer them locally
-    // and join arriving S tuples against them. Model the local buffering as
-    // a zero-cost arrival at the node itself (the arrival owns the payload
-    // reference until the deliver phase).
-    arrivals_.Push(slot_of_[p],
-                   Arrival{p, MakeData(p, t, cycle, /*as_s=*/false,
-                                       /*as_t=*/true)});
-  }
-}
-
-void JoinExecutor::SendGht(NodeId p, const Tuple& t, int cycle, bool as_s,
-                           bool as_t) {
-  // One message per distinct rendezvous node over this producer's pairs,
-  // from the precomputed plan (entries ascend by rendezvous node, matching
-  // the old per-cycle ordered-map collection).
-  for (const SendPlanEntry& e : Node(p).plan) {
-    const bool use_s = as_s && e.has_s;
-    const bool use_t = as_t && e.has_t;
-    if (!use_s && !use_t) continue;
-    Message msg;
-    msg.kind = MessageKind::kData;
-    msg.origin = p;
-    msg.dest = e.dest;
-    msg.size_bytes = workload_->DataBytes();
-    msg.payload = MakeData(p, t, cycle, use_s, use_t);
-    if (opts_.mesh_mode) {
-      msg.mode = RoutingMode::kSourcePath;
-      msg.route = e.route_s;
-    } else {
-      msg.mode = RoutingMode::kGeoGreedy;
+  if (opts_.features.multicast && node.mcast_route != net::kInvalidRoute) {
+    // One multicast over the producer's tree replaces the sites.
+    const bool any_site =
+        std::any_of(node.plan.begin(), node.plan.end(),
+                    [&](const SendPlanEntry& e) {
+                      return (as_s && e.has_s) || (as_t && e.has_t);
+                    });
+    if (any_site) {
+      msg.dest = p;  // multicast delivery is target-driven
+      msg.payload = MakeData(p, t, cycle, as_s, as_t);
+      (void)SubmitMcastToNet(msg, node.mcast_route);
     }
+  } else {
+    for (const SendPlanEntry& e : node.plan) {
+      const bool use_s = as_s && e.has_s;
+      const bool use_t = as_t && e.has_t;
+      if (!use_s && !use_t) continue;
+      msg.mode = e.mode;
+      msg.dest = e.dest;
+      msg.route = use_s ? e.route_s : e.route_t;
+      msg.payload = MakeData(p, t, cycle, use_s, use_t);
+      (void)SubmitToNet(msg);
+    }
+  }
+  // The base goes last.
+  const bool base_s = as_s && node.plan_base_s;
+  const bool base_t = as_t && node.plan_base_t;
+  if (base_s || base_t) {
+    msg.mode = RoutingMode::kTreeToRoot;
+    msg.dest = 0;
+    msg.route = net::kInvalidRoute;
+    msg.payload = MakeData(p, t, cycle, base_s, base_t);
     (void)SubmitToNet(msg);
   }
 }
@@ -928,8 +898,8 @@ void JoinExecutor::AdoptSharedPlacement(JoinExecutor* old_owner,
   }
   plans_dirty_ = true;
   if (opts_.algorithm == Algorithm::kInnet && !pl->at_base) {
-    RebuildProducerRoute(pair.s, true, /*charge_traffic=*/true);
-    RebuildProducerRoute(pair.t, false, /*charge_traffic=*/true);
+    RebuildProducerRoute(pair.s, /*charge_traffic=*/true);
+    RebuildProducerRoute(pair.t, /*charge_traffic=*/true);
   }
 }
 

@@ -198,17 +198,27 @@ class JoinExecutor : public sim::CycleParticipant,
   void BuildMulticastRoutes(bool charge_traffic) ASPEN_REQUIRES_SEQUENTIAL;
 
   // -- per-cycle data plane ----------------------------------------------------
-  /// Rebuilds every producer's SendPlan (destinations + interned routes)
-  /// from the placement table. Invoked lazily when `plans_dirty_`.
+  /// The roles of the producer in slot `i`: bit 0 = S, bit 1 = T. Naive's
+  /// come from eligibility (it samples by eligibility, not by pair), every
+  /// other algorithm's from the pair lists. A pure read: the pipelined
+  /// sample stage calls it.
+  uint8_t ProducerRoles(size_t i) const;
+  /// Rebuilds every producer's send plan from the placement table, for
+  /// every algorithm, interning one route reference per route field set.
+  /// A role goes to the base (the plan_base_s/t flags) for Naive and Base,
+  /// for Yang+07's S role (the root relays it), and for GHT and Yang+07's T
+  /// role never; otherwise — and for Innet unless the pair is at the base
+  /// — it goes to the pair's site: Innet's join node along the role's path
+  /// segment, GHT's rendezvous node (a shortest source path in mesh mode,
+  /// geo-greedy on motes), or Yang+07's T producer itself. Invoked lazily
+  /// when `plans_dirty_`.
   void RebuildSendPlans() ASPEN_REQUIRES_SEQUENTIAL;
-  void SendToBase(net::NodeId p, const query::Tuple& t, int cycle, bool as_s,
-                  bool as_t) ASPEN_REQUIRES_SEQUENTIAL;
-  void SendInnet(net::NodeId p, const query::Tuple& t, int cycle, bool as_s,
-                 bool as_t) ASPEN_REQUIRES_SEQUENTIAL;
-  void SendGht(net::NodeId p, const query::Tuple& t, int cycle, bool as_s,
-               bool as_t) ASPEN_REQUIRES_SEQUENTIAL;
-  void SendYang(net::NodeId p, const query::Tuple& t, int cycle, bool as_s,
-                bool as_t) ASPEN_REQUIRES_SEQUENTIAL;
+  /// The one send path of every algorithm: submits producer `p`'s sample
+  /// `t` for its firing roles by walking the plan — the sites in ascending
+  /// id (or, when the producer holds one, its multicast tree in their
+  /// place), then the base. A site equal to `p` is delivered locally.
+  void Send(net::NodeId p, const query::Tuple& t, int cycle, bool as_s,
+            bool as_t) ASPEN_REQUIRES_SEQUENTIAL;
 
   /// Allocates a pooled DataPayload (one owned reference, transferred to
   /// the network on submit).
@@ -358,7 +368,7 @@ class JoinExecutor : public sim::CycleParticipant,
                         const workload::SelectivityParams& est) const;
   void ApplyGroupDecision(const opt::JoinGroup& group, bool in_network)
       ASPEN_REQUIRES_SEQUENTIAL;
-  void RebuildProducerRoute(net::NodeId p, bool as_s, bool charge_traffic)
+  void RebuildProducerRoute(net::NodeId p, bool charge_traffic)
       ASPEN_REQUIRES_SEQUENTIAL;
   /// The tree_mode == kShared variant: a KMB Steiner tree over (producer,
   /// destination set) alone, adopted from the RouteTable's destination-set

@@ -18,7 +18,6 @@ using net::Message;
 using net::MessageKind;
 using net::NodeId;
 using net::RoutingMode;
-using query::Tuple;
 
 namespace {
 
@@ -172,54 +171,6 @@ Status JoinExecutor::ExplorePairs() {
   return Status::OK();
 }
 
-// ---- data plane ----------------------------------------------------------------
-
-void JoinExecutor::SendInnet(NodeId p, const Tuple& t, int cycle, bool as_s,
-                             bool as_t) {
-  // The destination set, role flags and route segments are precomputed in
-  // the producer's SendPlan (rebuilt on placement changes); a steady-state
-  // send walks the plan and allocates nothing.
-  const NodeState& node = Node(p);
-  const bool base_s = as_s && node.plan_base_s;
-  const bool base_t = as_t && node.plan_base_t;
-  bool any_dest = false;
-  for (const SendPlanEntry& e : node.plan) {
-    if ((as_s && e.has_s) || (as_t && e.has_t)) {
-      any_dest = true;
-      break;
-    }
-  }
-  if (any_dest) {
-    if (opts_.features.multicast && node.mcast_route != net::kInvalidRoute) {
-      Message msg;
-      msg.kind = MessageKind::kData;
-      msg.origin = p;
-      msg.dest = p;  // multicast delivery is target-driven
-      msg.size_bytes = workload_->DataBytes();
-      msg.payload = MakeData(p, t, cycle, as_s, as_t);
-      (void)SubmitMcastToNet(msg, node.mcast_route);
-    } else {
-      for (const SendPlanEntry& e : node.plan) {
-        const bool use_s = as_s && e.has_s;
-        const bool use_t = as_t && e.has_t;
-        if (!use_s && !use_t) continue;
-        Message msg;
-        msg.kind = MessageKind::kData;
-        msg.mode = RoutingMode::kSourcePath;
-        msg.origin = p;
-        msg.dest = e.dest;
-        // When both roles fire toward one join node, the S route wins —
-        // the order the per-cycle collection historically filled in paths.
-        msg.route = use_s ? e.route_s : e.route_t;
-        msg.size_bytes = workload_->DataBytes();
-        msg.payload = MakeData(p, t, cycle, use_s, use_t);
-        (void)SubmitToNet(msg);
-      }
-    }
-  }
-  if (base_s || base_t) SendToBase(p, t, cycle, base_s, base_t);
-}
-
 // ---- group optimization (MPO) -----------------------------------------------
 
 double JoinExecutor::ComputeDeltaCp(
@@ -338,8 +289,7 @@ void JoinExecutor::DecideGroupFor(const opt::JoinGroup& group,
 
 // ---- multicast trees ----------------------------------------------------------
 
-void JoinExecutor::RebuildProducerRoute(NodeId p, bool /*as_s*/,
-                                        bool charge_traffic) {
+void JoinExecutor::RebuildProducerRoute(NodeId p, bool charge_traffic) {
   if (opts_.knobs.tree_mode == common::TreeMode::kShared) {
     RebuildSharedProducerRoute(p, charge_traffic);
     return;
@@ -503,7 +453,7 @@ void JoinExecutor::BuildMulticastRoutes(bool charge_traffic) {
   // Producers in ascending id: the order trees are interned and released.
   for (size_t i = 0; i < producers_.size(); ++i) {
     if (nodes_[i].s_pairs.empty() && nodes_[i].t_pairs.empty()) continue;
-    RebuildProducerRoute(producers_[i], true, charge_traffic);
+    RebuildProducerRoute(producers_[i], charge_traffic);
   }
 }
 
@@ -531,7 +481,7 @@ void JoinExecutor::OnSnoop(const Message& msg, NodeId snooper, NodeId from,
   // Notify the producer (Algorithm 2's optimization tuple).
   ChargeAlongPath(primary_tree().TreePath(snooper, p), kHintBytes,
                   MessageKind::kCollapseHint);
-  RebuildProducerRoute(p, true, /*charge_traffic=*/true);
+  RebuildProducerRoute(p, /*charge_traffic=*/true);
 }
 
 // ---- re-optimization & migration (Section 6) -----------------------------------
@@ -850,7 +800,7 @@ void JoinExecutor::FailoverPairToBase(const PairKey& pair) {
     }
     SendWindowReplay(pair, producer, as_s);
     if (opts_.features.multicast) {
-      RebuildProducerRoute(producer, true, /*charge_traffic=*/true);
+      RebuildProducerRoute(producer, /*charge_traffic=*/true);
     }
   }
 }

@@ -31,17 +31,25 @@
 namespace aspen {
 namespace join {
 
-/// \brief One destination of a producer's precomputed send plan: a join
-/// node this producer ships samples to, with the interned route per role.
-/// Entries are sorted by `dest`, reproducing the ordered-map iteration of
-/// the former per-cycle destination collection.
+/// \brief One site of a producer's precomputed send plan: a node this
+/// producer ships samples to — Innet's join node, GHT's rendezvous node or,
+/// for Yang+07's T role, the producer itself — with how the frame travels
+/// and the interned route per role. Entries are sorted by `dest`,
+/// reproducing the ordered-map iteration of the former per-cycle
+/// destination collection. The base is never an entry: it is the
+/// NodeState::plan_base_s/t flags, because it is submitted after every
+/// site. An entry whose `dest` is the producer is delivered locally by
+/// Network::Submit, with no radio hop.
 struct SendPlanEntry {
   net::NodeId dest = -1;
+  /// kSourcePath along route_s/route_t, or kGeoGreedy (GHT on motes).
+  net::RoutingMode mode = net::RoutingMode::kSourcePath;
   /// Which of the producer's roles route samples to `dest`.
   bool has_s = false;
   bool has_t = false;
-  /// Route taken when the S (resp. T) role fires; when both fire the S
-  /// route wins, matching the historical first-collected-path behavior.
+  /// Route taken when the S (resp. T) role fires (kSourcePath only); when
+  /// both fire the S route wins, matching the historical
+  /// first-collected-path behavior.
   net::RouteId route_s = net::kInvalidRoute;
   net::RouteId route_t = net::kInvalidRoute;
 };
@@ -111,15 +119,16 @@ struct NodeState {
   /// by as_s.
   RecentRing recent_sent[2];
 
-  /// Precomputed per-producer destinations (sorted by dest) with interned
-  /// routes; rebuilt lazily when placements change. base_s/base_t mark
-  /// whether any pair of the role joins at the base.
+  /// Precomputed per-producer sites (sorted by dest) with interned routes;
+  /// rebuilt lazily when placements change. plan_base_s/t mark whether the
+  /// role's samples also go to the base.
   std::vector<SendPlanEntry> plan;
   bool plan_base_s = false;
   bool plan_base_t = false;
 
   /// Cached multicast tree rooted at this producer (Innet-m), interned in
-  /// the network's route table.
+  /// the network's route table. Read at send time, in place of the plan's
+  /// sites: snooping may swap it between plan rebuilds.
   net::McastId mcast_route = net::kInvalidRoute;
 
   /// Links discovered by path-collapse snooping for this producer.
