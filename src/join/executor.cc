@@ -498,20 +498,6 @@ uint8_t JoinExecutor::ProducerRoles(size_t i) const {
 void JoinExecutor::RebuildSendPlans() {
   plans_dirty_ = false;
   const Algorithm algo = opts_.algorithm;
-  // Whether a role's samples for one pair go to the base instead of the
-  // pair's site. Yang+07's root relays S samples to the T partners.
-  auto to_base = [algo](const PairPlacement& pl, bool role_s) {
-    switch (algo) {
-      case Algorithm::kYang07:
-        return role_s;
-      case Algorithm::kGht:
-        return false;
-      case Algorithm::kInnet:
-        return pl.at_base || pl.path.empty();
-      default:
-        return true;
-    }
-  };
   // Sites are reached along an interned source path, except GHT on motes,
   // which routes geo-greedily; a self-addressed site never leaves the node.
   const RoutingMode mode = algo == Algorithm::kGht && !opts_.mesh_mode
@@ -543,7 +529,9 @@ void JoinExecutor::RebuildSendPlans() {
     auto collect = [&](const std::vector<int32_t>& pair_idxs, bool role_s) {
       for (int32_t pi : pair_idxs) {
         const PairPlacement& pl = placements_[pi];
-        if (to_base(pl, role_s)) {
+        // A pair at the base (Base's, or any failed over) joins there, and
+        // Yang+07's root relays S samples to the T partners.
+        if (pl.at_base || (algo == Algorithm::kYang07 && role_s)) {
           (role_s ? node.plan_base_s : node.plan_base_t) = true;
           continue;
         }

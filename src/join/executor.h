@@ -204,14 +204,14 @@ class JoinExecutor : public sim::CycleParticipant,
   /// sample stage calls it.
   uint8_t ProducerRoles(size_t i) const;
   /// Rebuilds every producer's send plan from the placement table, for
-  /// every algorithm, interning one route reference per route field set.
-  /// A role goes to the base (the plan_base_s/t flags) for Naive and Base,
-  /// for Yang+07's S role (the root relays it), and for GHT and Yang+07's T
-  /// role never; otherwise — and for Innet unless the pair is at the base
-  /// — it goes to the pair's site: Innet's join node along the role's path
-  /// segment, GHT's rendezvous node (a shortest source path in mesh mode,
-  /// geo-greedy on motes), or Yang+07's T producer itself. Invoked lazily
-  /// when `plans_dirty_`.
+  /// every algorithm, with one route reference per route field set.
+  /// Naive's roles all go to the base (the plan_base_s/t flags). For the
+  /// others a role goes to the base for each pair at the base — every
+  /// Base pair, and any pair failed over — and for Yang+07's S role (the
+  /// root relays it); otherwise to the pair's site: Innet's join node
+  /// along the role's path segment, GHT's rendezvous node (a shortest
+  /// source path in mesh mode, geo-greedy on motes) or Yang+07's T
+  /// producer itself. Invoked lazily when `plans_dirty_`.
   void RebuildSendPlans() ASPEN_REQUIRES_SEQUENTIAL;
   /// The one send path of every algorithm: submits producer `p`'s sample
   /// `t` for its firing roles by walking the plan — the sites in ascending

@@ -1,14 +1,17 @@
 // Section 7 failure recovery, exercised end to end through the scenario
 // engine: join-node death is detected via exhausted retries, the pair fails
 // over to the base, producers replay their buffered windows, and the whole
-// scenario is deterministic. Also the regression test for the loss-draw
-// short-circuit fix in Network::Step (draws are consumed unconditionally,
-// so node failure never perturbs loss outcomes on untouched links).
+// scenario is deterministic. Every algorithm that joins away from the base
+// (Innet, GHT/DHT, Yang+07) then sends its failed-over pairs' fresh samples
+// to the base. Also the regression test for the loss-draw short-circuit fix
+// in Network::Step (draws are consumed unconditionally, so node failure
+// never perturbs loss outcomes on untouched links).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -171,6 +174,90 @@ TEST(FailureRecoveryTest, RecoveredRunStaysCloseToUnfailedBaseline) {
   EXPECT_GT(baseline->results, 0u);
   EXPECT_GE(exec.results() * 2, baseline->results);
 }
+
+/// An algorithm that joins at a site other than the base.
+struct SiteAlgorithm {
+  const char* name;
+  join::Algorithm algo;
+  bool mesh;
+};
+
+void PrintTo(const SiteAlgorithm& a, std::ostream* os) { *os << a.name; }
+
+/// The first placement's site that is neither the base nor the pair's S
+/// producer, or -1.
+NodeId FirstRemoteSite(const join::JoinExecutor& exec) {
+  for (const auto& pl : exec.placements()) {
+    const NodeId site = pl.at_base ? 0 : pl.join_node;
+    if (site != 0 && site != pl.pair.s) return site;
+  }
+  return -1;
+}
+
+struct OutageRun {
+  uint64_t late_results = 0;  ///< results of cycles 45-95
+  uint64_t failovers = 0;
+};
+
+/// Runs `opts` on `wl` with `victim` failing at cycle 20 and recovering at
+/// cycle 26.
+OutageRun RunOutage(const Workload& wl, const join::ExecutorOptions& opts,
+                    NodeId victim) {
+  common::SequentialPhaseScope seq;
+  SoloQuery solo(&wl, opts);
+  EXPECT_TRUE(solo.exec.Initiate().ok());
+  scenario::DynamicsSchedule schedule;
+  schedule.FailAt(/*cycle=*/20, victim).RecoverAt(/*cycle=*/26, victim);
+  scenario::ScenarioDriver driver(&solo.exec.network(), &schedule);
+  solo.medium.scheduler()->AttachFront(&driver);
+  EXPECT_TRUE(solo.RunCycles(45).ok());
+  const uint64_t before = solo.exec.results();
+  EXPECT_TRUE(solo.RunCycles(50).ok());
+  return {solo.exec.results() - before, solo.exec.Stats().failovers};
+}
+
+class FailoverToBaseTest : public ::testing::TestWithParam<SiteAlgorithm> {};
+
+TEST_P(FailoverToBaseTest, FailedOverPairsKeepJoiningAtTheBase) {
+  common::SequentialPhaseScope seq_phase;
+  // A pair whose site dies fails over to the base for good: once the
+  // outage is over and the windows have turned over, every fresh sample of
+  // both producers reaches the base, so the lossless run yields exactly
+  // the results of Base under the same outage.
+  const auto topo = *net::Topology::Random(100, 7.0, 42);
+  const SelectivityParams sel{0.5, 0.5, 0.2};
+  const auto wl = *Workload::MakeQuery1(&topo, sel, /*window=*/3, 7);
+  join::ExecutorOptions opts;
+  opts.algorithm = GetParam().algo;
+  opts.mesh_mode = GetParam().mesh;
+  opts.features = join::InnetFeatures::None();
+  opts.assumed = sel;
+  opts.seed = 7;
+  NodeId victim = -1;
+  {
+    SoloQuery probe(&wl, opts);
+    ASSERT_TRUE(probe.exec.Initiate().ok());
+    victim = FirstRemoteSite(probe.exec);
+  }
+  ASSERT_GT(victim, 0) << "some pair must join away from the base";
+
+  const OutageRun run = RunOutage(wl, opts, victim);
+  EXPECT_GT(run.failovers, 0u);
+  join::ExecutorOptions base = opts;
+  base.algorithm = join::Algorithm::kBase;
+  const OutageRun want = RunOutage(wl, base, victim);
+  EXPECT_GT(want.late_results, 0u);
+  EXPECT_EQ(run.late_results, want.late_results);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SiteAlgorithms, FailoverToBaseTest,
+    ::testing::Values(SiteAlgorithm{"Innet", join::Algorithm::kInnet, false},
+                      SiteAlgorithm{"GHT", join::Algorithm::kGht, false},
+                      SiteAlgorithm{"GHTMesh", join::Algorithm::kGht, true},
+                      SiteAlgorithm{"Yang07", join::Algorithm::kYang07,
+                                    false}),
+    ::testing::PrintToStringParamName());
 
 TEST(FailureRecoveryTest, FullFailureScenarioIsDeterministic) {
   common::SequentialPhaseScope seq_phase;

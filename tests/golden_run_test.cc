@@ -134,18 +134,18 @@ const std::vector<Config>& Configs() {
 
 /// Recorded digests, indexed [query - 1][config].
 constexpr uint64_t kGolden[3][14] = {
-    {0xc37910065d4d7eabULL, 0xcfa2c689a4f7c4c9ULL, 0x2fae21d187298149ULL,
-     0x5d86fa9eebb4137eULL, 0x87643aa1db3154d5ULL, 0x36d1303406952bddULL,
+    {0xc37910065d4d7eabULL, 0xcfa2c689a4f7c4c9ULL, 0x583f8f4fb0b4d9e1ULL,
+     0xdf4afc506b100209ULL, 0x2845eb7d98d41728ULL, 0x36d1303406952bddULL,
      0x3dab15f4496c43f2ULL, 0xf45b11f27831305fULL, 0xe74df66e55dc3e76ULL,
      0xdd059e65360f595aULL, 0xa380a36a74e088b2ULL, 0x7a36f654b3a2d096ULL,
      0xa40b07e2434d230bULL, 0x7cea91e5df4703ecULL},
-    {0x7005ffb1db44c175ULL, 0x578eb6e1639fbcc6ULL, 0x0d477a7913b96d0eULL,
-     0x42cd1381f769a907ULL, 0x2318b42e09df6a6eULL, 0x9bdd3e5f97b21953ULL,
+    {0x7005ffb1db44c175ULL, 0x578eb6e1639fbcc6ULL, 0x95bedbf80648d23fULL,
+     0xe4a4b6ebd9495f29ULL, 0xa742669265be9317ULL, 0x9bdd3e5f97b21953ULL,
      0xff77d58ebdef221eULL, 0xa374510dfcd40bc7ULL, 0x5de0c2d380a0b777ULL,
      0x4165bd6dbdcfafbdULL, 0xa689c2162bf6a926ULL, 0xd5a789c2c7389437ULL,
      0xbc83d0605c4af744ULL, 0x5ca07033153c256eULL},
-    {0xb944b6652be633e3ULL, 0xcd6d45e4debf405eULL, 0x64d2eefbc3989b3cULL,
-     0x47819f131aa40788ULL, 0xf7d9ab603ca5fee3ULL, 0x3ed31c2bec1d7120ULL,
+    {0xb944b6652be633e3ULL, 0xcd6d45e4debf405eULL, 0x4420ccf43488a3bcULL,
+     0xa32b695b28f48ccdULL, 0x00bf5628a329f587ULL, 0x3ed31c2bec1d7120ULL,
      0x4fb1adea0a7fc657ULL, 0xf502812952c79809ULL, 0xe4a60b7d4f49b10aULL,
      0xe924b20fed17db73ULL, 0xd8591634f87fea53ULL, 0x02f75f43a06cd93aULL,
      0x65ff2f190af935f0ULL, 0x7f16981656129e2bULL},
