@@ -706,8 +706,9 @@ void JoinExecutor::Send(NodeId p, const Tuple& t, int cycle, bool as_s,
   msg.kind = MessageKind::kData;
   msg.origin = p;
   msg.size_bytes = workload_->DataBytes();
-  if (opts_.features.multicast && node.mcast_route != net::kInvalidRoute) {
-    // One multicast over the producer's tree replaces the sites.
+  if (node.mcast_route != net::kInvalidRoute) {
+    // Only multicast builds a tree: one multicast over it replaces the
+    // sites.
     const bool any_site =
         std::any_of(node.plan.begin(), node.plan.end(),
                     [&](const SendPlanEntry& e) {
@@ -879,13 +880,14 @@ void JoinExecutor::AdoptSharedPlacement(JoinExecutor* old_owner,
     }
   }
   // The producer caches key off the pair lists; force a rebuild, and
-  // rebuild the producers' multicast trees over the restored target set.
+  // under multicast rebuild the producers' trees over the restored target
+  // set.
   for (ShardScratch& sc : scratch_) {
     sc.cached_begin = -1;
     sc.cached_end = -1;
   }
   plans_dirty_ = true;
-  if (opts_.algorithm == Algorithm::kInnet && !pl->at_base) {
+  if (opts_.features.multicast && !pl->at_base) {
     RebuildProducerRoute(pair.s, /*charge_traffic=*/true);
     RebuildProducerRoute(pair.t, /*charge_traffic=*/true);
   }

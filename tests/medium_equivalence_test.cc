@@ -269,46 +269,58 @@ TEST(MediumEquivalenceTest, SharedPlacementAttachMatchesSoloReference) {
 TEST(MediumEquivalenceTest, SharedPlacementDetachPromotesSubscriber) {
   // Owner departure mid-run: the smallest subscriber adopts the placement
   // (geometry, routes, window state) and continues producing exactly the
-  // results a never-shared solo run would have over the same cycles.
+  // results a never-shared solo run would have over the same cycles. The
+  // promoted producers rebuild a multicast tree only when the query
+  // multicasts: without multicast the promotion sends no tree update.
   const int kHead = 10, kTail = 15;
   auto topo = *net::Topology::Random(80, 7.0, 11);
   SelectivityParams sel{0.5, 0.5, 0.2};
-  ExecutorOptions opts;
-  opts.algorithm = Algorithm::kInnet;
-  opts.features = InnetFeatures::Cm();
-  opts.assumed = sel;
-  opts.knobs.tree_mode = common::TreeMode::kShared;
+  for (const InnetFeatures features :
+       {InnetFeatures::Cm(), InnetFeatures::None()}) {
+    SCOPED_TRACE(AlgorithmName(Algorithm::kInnet, features));
+    ExecutorOptions opts;
+    opts.algorithm = Algorithm::kInnet;
+    opts.features = features;
+    opts.assumed = sel;
+    opts.knobs.tree_mode = common::TreeMode::kShared;
 
-  auto solo_run =
-      core::RunExperiment(*Workload::MakeQuery1(&topo, sel, 3, 7), opts,
-                          kHead + kTail);
-  ASSERT_TRUE(solo_run.ok());
-  const RunStats solo = *solo_run;
+    auto solo_run =
+        core::RunExperiment(*Workload::MakeQuery1(&topo, sel, 3, 7), opts,
+                            kHead + kTail);
+    ASSERT_TRUE(solo_run.ok());
+    const RunStats solo = *solo_run;
 
-  auto q1 = *Workload::MakeQuery1(&topo, sel, 3, 7);
-  auto q2 = *Workload::MakeQuery1(&topo, sel, 3, 7);
-  MediumOptions mopts;
-  mopts.knobs.tree_mode = common::TreeMode::kShared;
-  SharedMedium medium(&topo, {}, mopts);
-  auto r1 = medium.TryAddQuery(&q1, opts);
-  auto r2 = medium.TryAddQuery(&q2, opts);
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  JoinExecutor* owner = *r1;
-  JoinExecutor* sub = *r2;
-  ASSERT_TRUE(medium.InitiateAll().ok());
-  ASSERT_GT(medium.num_shared_placements(), 0);
-  ASSERT_TRUE(medium.RunCycles(kHead).ok());
+    auto q1 = *Workload::MakeQuery1(&topo, sel, 3, 7);
+    auto q2 = *Workload::MakeQuery1(&topo, sel, 3, 7);
+    MediumOptions mopts;
+    mopts.knobs.tree_mode = common::TreeMode::kShared;
+    SharedMedium medium(&topo, {}, mopts);
+    auto r1 = medium.TryAddQuery(&q1, opts);
+    auto r2 = medium.TryAddQuery(&q2, opts);
+    ASSERT_TRUE(r1.ok() && r2.ok());
+    JoinExecutor* owner = *r1;
+    JoinExecutor* sub = *r2;
+    ASSERT_TRUE(medium.InitiateAll().ok());
+    ASSERT_GT(medium.num_shared_placements(), 0);
+    ASSERT_TRUE(medium.RunCycles(kHead).ok());
 
-  // The first-admitted query owns every shared placement; remove it.
-  ASSERT_TRUE(medium.RemoveQuery(owner->query_id()).ok());
-  EXPECT_EQ(medium.num_shared_placements(), 0);
-  ASSERT_TRUE(medium.RunCycles(kTail).ok());
+    // The first-admitted query owns every shared placement; remove it.
+    const uint64_t tree_bytes =
+        medium.stats().BytesByKind(net::MessageKind::kMulticastUpdate);
+    ASSERT_TRUE(medium.RemoveQuery(owner->query_id()).ok());
+    EXPECT_EQ(medium.num_shared_placements(), 0);
+    ASSERT_TRUE(medium.RunCycles(kTail).ok());
+    if (!features.multicast) {
+      EXPECT_EQ(medium.stats().BytesByKind(net::MessageKind::kMulticastUpdate),
+                tree_bytes);
+    }
 
-  const RunStats after = sub->Stats();
-  EXPECT_EQ(after.results, solo.results);
-  EXPECT_DOUBLE_EQ(after.avg_result_delay_cycles,
-                   solo.avg_result_delay_cycles);
-  EXPECT_EQ(after.sampling_cycles, solo.sampling_cycles);
+    const RunStats after = sub->Stats();
+    EXPECT_EQ(after.results, solo.results);
+    EXPECT_DOUBLE_EQ(after.avg_result_delay_cycles,
+                     solo.avg_result_delay_cycles);
+    EXPECT_EQ(after.sampling_cycles, solo.sampling_cycles);
+  }
 }
 
 TEST(MediumEquivalenceTest, PromotedOwnerReoptimizesLosslessly) {
