@@ -47,9 +47,9 @@ struct SendPlanEntry {
   /// Which of the producer's roles route samples to `dest`.
   bool has_s = false;
   bool has_t = false;
-  /// Route taken when the S (resp. T) role fires (kSourcePath only); when
-  /// both fire the S route wins, matching the historical
-  /// first-collected-path behavior.
+  /// Route taken when the S (resp. T) role fires (kSourcePath only, unset
+  /// on a self-addressed entry); when both fire the S route wins, matching
+  /// the historical first-collected-path behavior.
   net::RouteId route_s = net::kInvalidRoute;
   net::RouteId route_t = net::kInvalidRoute;
 };
@@ -127,8 +127,9 @@ struct NodeState {
   bool plan_base_t = false;
 
   /// Cached multicast tree rooted at this producer (Innet-m), interned in
-  /// the network's route table. Read at send time, in place of the plan's
-  /// sites: snooping may swap it between plan rebuilds.
+  /// the network's route table; only multicast builds one. Read at send
+  /// time, in place of the plan's sites: snooping may swap it between plan
+  /// rebuilds.
   net::McastId mcast_route = net::kInvalidRoute;
 
   /// Links discovered by path-collapse snooping for this producer.
