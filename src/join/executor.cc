@@ -524,8 +524,8 @@ void JoinExecutor::RebuildSendPlans() {
     }
     node.plan_base_s = false;
     node.plan_base_t = false;
-    // Per role, the first pair mapping to a site defines the route — the
-    // historical per-cycle destination collection.
+    // Per role, the first pair mapping to a site defines the route; the
+    // golden digests pin that choice.
     auto collect = [&](const std::vector<int32_t>& pair_idxs, bool role_s) {
       for (int32_t pi : pair_idxs) {
         const PairPlacement& pl = placements_[pi];

@@ -34,12 +34,11 @@ namespace join {
 /// \brief One site of a producer's precomputed send plan: a node this
 /// producer ships samples to — Innet's join node, GHT's rendezvous node or,
 /// for Yang+07's T role, the producer itself — with how the frame travels
-/// and the interned route per role. Entries are sorted by `dest`,
-/// reproducing the ordered-map iteration of the former per-cycle
-/// destination collection. The base is never an entry: it is the
-/// NodeState::plan_base_s/t flags, because it is submitted after every
-/// site. An entry whose `dest` is the producer is delivered locally by
-/// Network::Submit, with no radio hop.
+/// and the interned route per role. Entries are sorted by `dest`: they
+/// are submitted in that order, and message ids follow submission order.
+/// The base is never an entry: it is the NodeState::plan_base_s/t flags,
+/// because it is submitted after every site. An entry whose `dest` is the
+/// producer is delivered locally by Network::Submit, with no radio hop.
 struct SendPlanEntry {
   net::NodeId dest = -1;
   /// kSourcePath along route_s/route_t, or kGeoGreedy (GHT on motes).
@@ -48,8 +47,8 @@ struct SendPlanEntry {
   bool has_s = false;
   bool has_t = false;
   /// Route taken when the S (resp. T) role fires (kSourcePath only, unset
-  /// on a self-addressed entry); when both fire the S route wins, matching
-  /// the historical first-collected-path behavior.
+  /// on a self-addressed entry); when both fire the S route wins, a choice
+  /// the golden digests pin.
   net::RouteId route_s = net::kInvalidRoute;
   net::RouteId route_t = net::kInvalidRoute;
 };
